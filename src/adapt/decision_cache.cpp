@@ -3,35 +3,23 @@
 #include <bit>
 
 #include "perfdb/prediction_cache.hpp"
+#include "util/hash.hpp"
 
 namespace avf::adapt {
 
-namespace {
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                          std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t DecisionCache::hash_query(const Query& q) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_bytes(h, &q.db_uid, sizeof(q.db_uid));
-  h = fnv1a_bytes(h, &q.selector_fingerprint, sizeof(q.selector_fingerprint));
+  std::uint64_t h = util::kFnv1a64Offset;
+  h = util::fnv1a64(h, &q.db_uid, sizeof(q.db_uid));
+  h = util::fnv1a64(h, &q.selector_fingerprint,
+                    sizeof(q.selector_fingerprint));
   unsigned char inc = q.has_incumbent ? 1 : 0;
-  h = fnv1a_bytes(h, &inc, sizeof(inc));
-  h = fnv1a_bytes(h, q.incumbent_key.data(), q.incumbent_key.size());
+  h = util::fnv1a64(h, &inc, sizeof(inc));
+  h = util::fnv1a64(h, q.incumbent_key.data(), q.incumbent_key.size());
   // Quantized coordinates bucket the hash; exactness comes from the raw-bit
   // verification in keys_match.
   for (double x : *q.resources) {
     std::uint64_t qx = perfdb::PredictionCache::quantize(x);
-    h = fnv1a_bytes(h, &qx, sizeof(qx));
+    h = util::fnv1a64(h, &qx, sizeof(qx));
   }
   return h;
 }

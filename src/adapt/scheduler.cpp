@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace avf::adapt {
 
 using tunable::ConfigPoint;
@@ -11,26 +13,16 @@ using tunable::QosVector;
 
 namespace {
 
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                          std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  h = fnv1a_bytes(h, s.data(), s.size());
+  h = util::fnv1a64(h, s.data(), s.size());
   // Length separator: distinguishes {"ab","c"} from {"a","bc"}.
   std::uint64_t n = s.size();
-  return fnv1a_bytes(h, &n, sizeof(n));
+  return util::fnv1a64(h, &n, sizeof(n));
 }
 
 std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
   std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  return fnv1a_bytes(h, &bits, sizeof(bits));
+  return util::fnv1a64(h, &bits, sizeof(bits));
 }
 
 // Everything that shapes the decision function besides the database and the
@@ -38,13 +30,13 @@ std::uint64_t fnv1a_f64(std::uint64_t h, double x) {
 // directions — declaration sites excluded) and the scheduler options.
 std::uint64_t fingerprint_selector(const PreferenceList& prefs,
                                    const ResourceScheduler::Options& opts) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1a64Offset;
   std::uint64_t count = prefs.size();
-  h = fnv1a_bytes(h, &count, sizeof(count));
+  h = util::fnv1a64(h, &count, sizeof(count));
   for (const UserPreference& p : prefs) {
     h = fnv1a_str(h, p.name);
     std::uint64_t nc = p.constraints.size();
-    h = fnv1a_bytes(h, &nc, sizeof(nc));
+    h = util::fnv1a64(h, &nc, sizeof(nc));
     for (const MetricRange& r : p.constraints) {
       h = fnv1a_str(h, r.metric);
       h = fnv1a_f64(h, r.min);
@@ -52,13 +44,13 @@ std::uint64_t fingerprint_selector(const PreferenceList& prefs,
     }
     h = fnv1a_str(h, p.objective_metric);
     unsigned char maximize = p.maximize ? 1 : 0;
-    h = fnv1a_bytes(h, &maximize, sizeof(maximize));
+    h = util::fnv1a64(h, &maximize, sizeof(maximize));
   }
   int lookup = static_cast<int>(opts.lookup);
-  h = fnv1a_bytes(h, &lookup, sizeof(lookup));
+  h = util::fnv1a64(h, &lookup, sizeof(lookup));
   h = fnv1a_f64(h, opts.switch_hysteresis);
   unsigned char exact = opts.exact_predictions ? 1 : 0;
-  h = fnv1a_bytes(h, &exact, sizeof(exact));
+  h = util::fnv1a64(h, &exact, sizeof(exact));
   return h;
 }
 

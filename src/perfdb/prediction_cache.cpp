@@ -3,20 +3,12 @@
 #include <bit>
 #include <cmath>
 
+#include "util/hash.hpp"
+
 namespace avf::perfdb {
 
 namespace {
 constexpr int kQuantBits = 20;  // ~1e-6 relative buckets
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                          std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 }  // namespace
 
 PredictionCache::PredictionCache(const PredictionCache& other) {
@@ -74,11 +66,11 @@ std::uint64_t PredictionCache::quantize(double x) {
 std::uint64_t PredictionCache::hash_key(
     const std::string& config_key, const std::vector<std::uint64_t>& qpoint,
     Lookup mode) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a_bytes(h, config_key.data(), config_key.size());
-  h = fnv1a_bytes(h, qpoint.data(), qpoint.size() * sizeof(std::uint64_t));
+  std::uint64_t h = util::kFnv1a64Offset;
+  h = util::fnv1a64(h, config_key.data(), config_key.size());
+  h = util::fnv1a64(h, qpoint.data(), qpoint.size() * sizeof(std::uint64_t));
   int m = static_cast<int>(mode);
-  h = fnv1a_bytes(h, &m, sizeof(m));
+  h = util::fnv1a64(h, &m, sizeof(m));
   return h;
 }
 

@@ -14,23 +14,15 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "tunable/config.hpp"
+#include "util/hash.hpp"
 
 namespace avf::testkit {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv1a_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+void fnv1a_u64(std::uint64_t& h, std::uint64_t v) {
+  h = util::fnv1a64(h, &v, 8);
 }
-
-void fnv1a_u64(std::uint64_t& h, std::uint64_t v) { fnv1a_bytes(h, &v, 8); }
 
 void fnv1a_f64(std::uint64_t& h, double v) {
   fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
@@ -38,7 +30,7 @@ void fnv1a_f64(std::uint64_t& h, double v) {
 
 void fnv1a_str(std::uint64_t& h, const std::string& s) {
   fnv1a_u64(h, s.size());
-  fnv1a_bytes(h, s.data(), s.size());
+  h = util::fnv1a64(h, s.data(), s.size());
 }
 
 /// One session's complete adaptation stack.  Everything is built at the
@@ -276,7 +268,7 @@ FleetResult run_fleet(const FleetOptions& options) {
 
   FleetResult result;
   result.sessions = n;
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnv1a64Offset;
   for (const Session& s : st.sessions) {
     result.tasks += s.tasks;
     result.checks += s.controller->checks();

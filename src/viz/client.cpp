@@ -4,23 +4,13 @@
 #include <stdexcept>
 
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace avf::viz {
 
 namespace {
-
-/// Accumulating FNV-1a (seeded with the offset basis on first use).
-std::uint64_t fnv1a_accumulate(std::uint64_t h,
-                               const std::vector<std::uint8_t>& bytes) {
-  if (h == 0) h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 /// Throw a descriptive error when the server answered with kError; other
 /// kinds pass through for the caller's decode to check.
@@ -148,7 +138,8 @@ sim::Task<VizClient::ImageStats> VizClient::fetch_image(
         reply.premeasured
             ? std::move(reply.payload)
             : codec.decompress(reply.payload);
-    stats.payload_hash = fnv1a_accumulate(stats.payload_hash, raw);
+    stats.payload_hash =
+        util::bulk_hash64(raw.data(), raw.size(), stats.payload_hash);
     auto applied = decoder.apply(raw);
     double scale = static_cast<double>(1 << (ack.levels - level));
     double shown_w =

@@ -71,9 +71,10 @@ class VizClient {
     int rounds = 0;
     int resolution = 0;           ///< QoS.resolution (level of last round)
     std::uint64_t wire_bytes = 0;
-    /// FNV-1a over every round's raw (decompressed) payload bytes, in
-    /// arrival order.  Identical across cached/uncached server paths and
-    /// any client count — the byte-equality witness the tests compare.
+    /// util::bulk_hash64 over every round's raw (decompressed) payload
+    /// bytes, chained in arrival order (each round seeds the next).
+    /// Identical across cached/uncached server paths and any client count
+    /// — the byte-equality witness the tests compare.
     std::uint64_t payload_hash = 0;
     std::string final_config;     ///< config key active at completion
   };

@@ -6,6 +6,9 @@ namespace avf::viz {
 
 namespace {
 
+/// Reply header: session_id, three flag bytes, raw_len, wire_len.
+constexpr std::size_t kReplyHeaderBytes = 15;
+
 void put_u16(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -123,26 +126,34 @@ Request decode_request(const sim::Message& m) {
   return out;
 }
 
-sim::Message encode(const Reply& m) {
+sim::Message encode(const Reply& m) { return encode(m, m.payload); }
+
+sim::Message encode(const Reply& m, std::span<const std::uint8_t> payload) {
   sim::Message out;
   out.kind = kReply;
+  out.payload.reserve(payload.size() + kReplyHeaderBytes);
+  out.payload.assign(payload.begin(), payload.end());
   put_u32(out.payload, m.session_id);
   out.payload.push_back(m.complete ? 1 : 0);
   out.payload.push_back(m.codec);
   out.payload.push_back(m.premeasured ? 1 : 0);
   put_u32(out.payload, m.raw_len);
   put_u32(out.payload, m.wire_len);
-  out.payload.insert(out.payload.end(), m.payload.begin(), m.payload.end());
   if (m.premeasured) {
     // Network charges the compressed size, not the raw convenience bytes.
-    out.wire_size_override = m.wire_len + 15 + sim::kMessageHeaderBytes;
+    out.wire_size_override =
+        m.wire_len + kReplyHeaderBytes + sim::kMessageHeaderBytes;
   }
   return out;
 }
 
 Reply decode_reply(sim::Message m) {
   check_kind(m, kReply);
-  Reader r{m.payload};
+  if (m.payload.size() < kReplyHeaderBytes) {
+    throw std::runtime_error("viz protocol: truncated message");
+  }
+  const std::size_t body = m.payload.size() - kReplyHeaderBytes;
+  Reader r{m.payload, body};
   Reply out;
   out.session_id = r.u32();
   out.complete = r.u8() != 0;
@@ -150,8 +161,8 @@ Reply decode_reply(sim::Message m) {
   out.premeasured = r.u8() != 0;
   out.raw_len = r.u32();
   out.wire_len = r.u32();
-  out.payload.assign(m.payload.begin() + static_cast<std::ptrdiff_t>(r.at),
-                     m.payload.end());
+  m.payload.resize(body);
+  out.payload = std::move(m.payload);
   return out;
 }
 

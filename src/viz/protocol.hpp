@@ -15,9 +15,15 @@
 // is not reading another session's traffic.  `kError` replaces the old
 // fatal server throw on per-session protocol violations: the offending
 // session gets an error reply and every other session keeps streaming.
+//
+// A reply's 15 header bytes *trail* its tile payload, so decode_reply can
+// strip them by shrinking the buffer it takes ownership of: the payload is
+// copied once on the whole reply path (from the server's cached buffer
+// into the message) and never moved again.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -29,7 +35,7 @@ enum MsgKind : int {
   kOpenImage = 1,  ///< client->server: session_id, image_id, level, codec
   kOpenAck = 2,    ///< server->client: session_id, width, height, levels
   kRequest = 3,    ///< client->server: session_id, cx, cy, half, level
-  kReply = 4,      ///< server->client: session_id, tiles (compressed or premeasured)
+  kReply = 4,      ///< server->client: tiles, then session_id/flags/lengths
   kSetCodec = 5,   ///< client->server control: session_id, codec
   kShutdown = 6,   ///< stop the server loop for this endpoint
   kError = 7,      ///< server->client: session_id, error code (session survives)
@@ -91,6 +97,10 @@ sim::Message encode(const OpenImage& m);
 sim::Message encode(const OpenAck& m);
 sim::Message encode(const Request& m);
 sim::Message encode(const Reply& m);
+/// Encode `m`'s header fields around `payload` as the reply body
+/// (m.payload is ignored): the server ships a cached buffer this way
+/// without first copying it into a Reply.
+sim::Message encode(const Reply& m, std::span<const std::uint8_t> payload);
 sim::Message encode(const SetCodec& m);
 sim::Message encode(const ErrorReply& m);
 sim::Message encode_shutdown();
@@ -98,7 +108,7 @@ sim::Message encode_shutdown();
 OpenImage decode_open_image(const sim::Message& m);
 OpenAck decode_open_ack(const sim::Message& m);
 Request decode_request(const sim::Message& m);
-Reply decode_reply(sim::Message m);  // takes ownership of the payload
+Reply decode_reply(sim::Message m);  // reuses the message's buffer
 SetCodec decode_set_codec(const sim::Message& m);
 ErrorReply decode_error(const sim::Message& m);
 

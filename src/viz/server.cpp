@@ -29,34 +29,18 @@ CompressedSizeCache::CompressedSizeCache(std::size_t max_entries)
       shard_count_(max_entries >= kMaxShards * kMaxShards ? kMaxShards : 1),
       shard_max_(max_entries / shard_count_) {}
 
-std::uint64_t CompressedSizeCache::fingerprint(codec::BytesView payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  // Mix in the length to disambiguate prefix collisions.
-  h ^= payload.size();
-  return h;
-}
-
 CompressedSizeCache::Shard& CompressedSizeCache::shard_for(
-    std::uint64_t fp) const {
-  // Shard on high bits: the map hash mixes the low bits, so reusing them
-  // for shard selection would correlate shard and bucket.
-  return shards_[(fp >> 59) % shard_count_];
+    const util::Hash128& region) const {
+  // Shard on the high word: the map hashes the low word, so reusing it for
+  // shard selection would correlate shard and bucket.
+  return shards_[(region.hi >> 60) % shard_count_];
 }
 
 std::optional<std::size_t> CompressedSizeCache::lookup(
-    codec::CodecId id, codec::BytesView payload) const {
-  return lookup(id, fingerprint(payload));
-}
-
-std::optional<std::size_t> CompressedSizeCache::lookup(
-    codec::CodecId id, std::uint64_t fp) const {
-  Shard& shard = shard_for(fp);
+    codec::CodecId id, const util::Hash128& region) const {
+  Shard& shard = shard_for(region);
   util::MutexLock lock(shard.mutex);
-  auto it = shard.sizes.find(Key{fp, id});
+  auto it = shard.sizes.find(Key{region, id});
   if (it == shard.sizes.end()) {
     ++shard.misses;
     return std::nullopt;
@@ -65,17 +49,13 @@ std::optional<std::size_t> CompressedSizeCache::lookup(
   return it->second;
 }
 
-void CompressedSizeCache::store(codec::CodecId id, codec::BytesView payload,
-                                std::size_t size) {
-  store(id, fingerprint(payload), size);
-}
-
-void CompressedSizeCache::store(codec::CodecId id, std::uint64_t fp,
+void CompressedSizeCache::store(codec::CodecId id,
+                                const util::Hash128& region,
                                 std::size_t size) {
   if (max_entries_ == 0) return;
-  Shard& shard = shard_for(fp);
+  Shard& shard = shard_for(region);
   util::MutexLock lock(shard.mutex);
-  Key key{fp, id};
+  Key key{region, id};
   auto [it, inserted] = shard.sizes.insert_or_assign(key, size);
   (void)it;
   if (!inserted) return;  // overwrite keeps the original queue position
@@ -159,9 +139,7 @@ void VizServer::add_image(std::uint32_t id,
   StoredImage stored;
   stored.levels = pyramid->levels();
   stored.pyramid = std::move(pyramid);
-  stored.content_hash = options_.identity_keyed_regions
-                            ? identity_region_key(id)
-                            : content_hash;
+  stored.content_hash = content_hash;
   images_[id] = std::move(stored);
 }
 
@@ -311,14 +289,23 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
   wavelet::Region region{request.cx, request.cy, request.half};
   std::vector<wavelet::TileRef> tiles =
       session.encoder->take_region_tiles(region, request.level);
-  // Serialization reuse: the tile list *is* the (region, level, sent-state)
-  // key, so interleaved sessions at the same point in their progressive
-  // walk share the payload.  Hits are byte-identical by construction.
+  // The tile list *is* the (region, level, sent-state) key: one region key
+  // per request names the payload bytes for the region cache and, with the
+  // codec, their compressed size for the size cache.
+  const util::Hash128 key =
+      region_key(session.content_hash, options_.tile_size, tiles);
+  // Serialization reuse: interleaved sessions at the same point in their
+  // progressive walk share the payload.  Hits are byte-identical by
+  // construction.
   std::shared_ptr<const wavelet::Bytes> raw_shared;
   if (options_.region_cache != nullptr) {
-    raw_shared =
-        options_.region_cache->encode(session.content_hash, *session.encoder,
-                                      tiles, session.image_id);
+    const util::Hash128 cache_key =
+        options_.identity_keyed_regions
+            ? region_key(identity_region_key(session.image_id),
+                         options_.tile_size, tiles)
+            : key;
+    raw_shared = options_.region_cache->encode(cache_key, *session.encoder,
+                                               tiles, session.image_id);
   } else {
     raw_shared = std::make_shared<const wavelet::Bytes>(
         session.encoder->serialize_tiles(tiles));
@@ -341,46 +328,39 @@ sim::Task<> VizServer::handle_request(sim::Endpoint& endpoint,
   // Compression: always charge the codec's CPU cost; use the size cache to
   // avoid redoing byte-identical compressions (timing is unchanged).
   co_await box_.compute(codec.compress_ops(raw.size()));
-  std::optional<std::size_t> cached;
-  std::uint64_t raw_fingerprint = 0;
+  // The reply body: `raw`, or the genuine compressed bytes in fidelity
+  // mode.  encode() copies it into the message once.
+  std::shared_ptr<const codec::Bytes> compressed;
   if (options_.size_cache != nullptr) {
-    // Hash the payload once; the same fingerprint keys the store on miss.
-    raw_fingerprint = CompressedSizeCache::fingerprint(raw);
-    cached = options_.size_cache->lookup(session.codec, raw_fingerprint);
-  }
-  if (cached) {
-    reply.premeasured = true;
-    reply.wire_len = static_cast<std::uint32_t>(*cached);
-    reply.payload = raw;
-  } else if (options_.size_cache != nullptr) {
-    std::size_t compressed_size =
-        options_.chunk_cache != nullptr
-            ? options_.chunk_cache
-                  ->compress(session.codec, raw, session.image_id)
-                  ->size()
-            : codec.compress(raw).size();
-    options_.size_cache->store(session.codec, raw_fingerprint,
-                               compressed_size);
+    std::optional<std::size_t> size =
+        options_.size_cache->lookup(session.codec, key);
+    if (!size) {
+      size = options_.chunk_cache != nullptr
+                 ? options_.chunk_cache
+                       ->compress(session.codec, raw, session.image_id)
+                       ->size()
+                 : codec.compress(raw).size();
+      options_.size_cache->store(session.codec, key, *size);
+    }
     // Ship raw with overridden wire size so the client can skip the real
-    // decompression too; the cache now knows the size for future runs.
+    // decompression too.
     reply.premeasured = true;
-    reply.wire_len = static_cast<std::uint32_t>(compressed_size);
-    reply.payload = raw;
+    reply.wire_len = static_cast<std::uint32_t>(*size);
   } else {
     // Fidelity mode: the reply carries genuine compressed bytes.  The
     // chunk cache still deduplicates the real compression work across
     // sessions asking for the same tiles.
-    codec::Bytes compressed =
+    compressed =
         options_.chunk_cache != nullptr
-            ? *options_.chunk_cache->compress(session.codec, raw,
-                                              session.image_id)
-            : codec.compress(raw);
+            ? options_.chunk_cache->compress(session.codec, raw,
+                                             session.image_id)
+            : std::make_shared<const codec::Bytes>(codec.compress(raw));
     reply.premeasured = false;
-    reply.wire_len = static_cast<std::uint32_t>(compressed.size());
-    reply.payload = std::move(compressed);
+    reply.wire_len = static_cast<std::uint32_t>(compressed->size());
   }
   wire_bytes_sent_ += reply.wire_len;
-  co_await box_.send(endpoint, encode(reply));
+  co_await box_.send(endpoint,
+                     encode(reply, compressed != nullptr ? *compressed : raw));
 }
 
 }  // namespace avf::viz

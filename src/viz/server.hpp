@@ -15,7 +15,10 @@
 // compression cost.  Compression output sizes are *real* codec output; a
 // process-wide size cache avoids redoing identical compressions across
 // profiling runs (the payload is then shipped raw with the wire size forced
-// to the cached compressed size — timing-identical, cycles saved).
+// to the cached compressed size — timing-identical, cycles saved).  A
+// size-cache hit never reads the payload bytes: the region and size caches
+// key on the request's region key (viz/caches.hpp), and the payload is
+// copied once, from the cached buffer straight into the reply message.
 #pragma once
 
 #include <array>
@@ -38,9 +41,17 @@
 
 namespace avf::viz {
 
-/// Process-wide cache: (FNV-1a(payload), codec) -> compressed size.
+/// Process-wide cache: (region key, codec) -> compressed size.
 ///
-/// The key is the genuine (fingerprint, codec) pair — an earlier revision
+/// The region key (viz::region_key over the *true* pyramid content hash,
+/// tile size and tile list) names the payload bytes, so with the codec it
+/// determines the compressed size: the server looks sizes up without ever
+/// hashing the payload.  Identity-keyed region caching
+/// (VizServer::Options::identity_keyed_regions) does not apply here — an
+/// image id names different content in different worlds, and this cache is
+/// shared by all of them.
+///
+/// The key is the genuine (region key, codec) pair — an earlier revision
 /// folded the codec id into a single integer as fingerprint*prime + id,
 /// which collides whenever two payload fingerprints differ by a multiple of
 /// the prime's inverse; a collision silently returns the wrong codec's
@@ -48,7 +59,7 @@ namespace avf::viz {
 /// evict the oldest insertion (FIFO), so long profiling campaigns cannot
 /// grow the process-wide singleton without bound.
 ///
-/// Storage is sharded 16 ways by fingerprint once `max_entries` is large
+/// Storage is sharded 16 ways by region key once `max_entries` is large
 /// enough to split (>= 16 per shard), so parallel profiling sweeps and the
 /// multi-session serve path stop serializing on a single mutex.  Each shard
 /// keeps its own FIFO bound of max_entries/shards; counters and size()
@@ -62,16 +73,10 @@ class CompressedSizeCache {
   CompressedSizeCache() : CompressedSizeCache(kDefaultMaxEntries) {}
   explicit CompressedSizeCache(std::size_t max_entries);
 
-  /// Content fingerprint used as the payload half of the key.  Exposed so
-  /// callers issuing a lookup-then-store pair can hash the payload once.
-  static std::uint64_t fingerprint(codec::BytesView payload);
-
   std::optional<std::size_t> lookup(codec::CodecId id,
-                                    codec::BytesView payload) const;
-  std::optional<std::size_t> lookup(codec::CodecId id,
-                                    std::uint64_t fingerprint) const;
-  void store(codec::CodecId id, codec::BytesView payload, std::size_t size);
-  void store(codec::CodecId id, std::uint64_t fingerprint, std::size_t size);
+                                    const util::Hash128& region) const;
+  void store(codec::CodecId id, const util::Hash128& region,
+             std::size_t size);
 
   /// One shard's contribution to the aggregate counters, captured under
   /// that shard's lock.  size()/hits()/misses()/evictions() sum these
@@ -97,19 +102,16 @@ class CompressedSizeCache {
 
  private:
   struct Key {
-    std::uint64_t fingerprint;
+    util::Hash128 region;
     codec::CodecId codec;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      // splitmix-style mix over both halves of the pair.
-      std::uint64_t h = k.fingerprint + 0x9e3779b97f4a7c15ULL *
-                        (static_cast<std::uint64_t>(k.codec) + 1);
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 27;
-      return static_cast<std::size_t>(h);
+      // `lo` is already avalanche-mixed; spread the codec over all bits.
+      return static_cast<std::size_t>(
+          k.region.lo ^ (0x9e3779b97f4a7c15ULL *
+                         (static_cast<std::uint64_t>(k.codec) + 1)));
     }
   };
   struct Shard {
@@ -127,7 +129,7 @@ class CompressedSizeCache {
     ShardCounters counters() const AVF_EXCLUDES(mutex);
   };
 
-  Shard& shard_for(std::uint64_t fingerprint) const;
+  Shard& shard_for(const util::Hash128& region) const;
 
   std::size_t max_entries_;
   std::size_t shard_count_;
@@ -157,7 +159,7 @@ class VizServer {
     /// distinct images was cached per image.  Traces are unchanged either
     /// way (caches save cycles only); only resident store bytes differ.
     /// Meaningful with a per-world store — image ids are only unique
-    /// within one server.
+    /// within one server.  The size cache keeps keying on true content.
     bool identity_keyed_regions = false;
   };
 
@@ -196,15 +198,16 @@ class VizServer {
  private:
   struct StoredImage {
     std::shared_ptr<const wavelet::Pyramid> pyramid;
-    /// Content hash keying the tile store (or an identity hash when
-    /// Options::identity_keyed_regions emulates the old baseline).
+    /// True pyramid content hash: keys the size cache, and the region
+    /// cache unless Options::identity_keyed_regions substitutes an
+    /// identity hash there.
     util::Hash128 content_hash;
     int levels = 0;
   };
   struct Session {
     std::uint32_t image_id = 0;
     std::shared_ptr<const wavelet::Pyramid> pyramid;
-    util::Hash128 content_hash;
+    util::Hash128 content_hash;  // as StoredImage::content_hash
     std::unique_ptr<wavelet::ProgressiveEncoder> encoder;
     codec::CodecId codec = codec::CodecId::kNone;
     int level = 0;

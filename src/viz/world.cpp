@@ -7,6 +7,7 @@
 
 #include "util/annotations.hpp"
 #include "util/fmt.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
 
@@ -339,12 +340,14 @@ SessionResult run_adaptive_session(const WorldSetup& setup,
 
 
 std::uint64_t result_fingerprint(const MultiSessionResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1a64Offset;
   auto mix_u64 = [&h](std::uint64_t v) {
+    // LSB-first on any host.
+    std::uint8_t le[8];
     for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 0x100000001b3ULL;
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    h = util::fnv1a64(h, le, sizeof(le));
   };
   auto mix_double = [&mix_u64](double v) {
     mix_u64(std::bit_cast<std::uint64_t>(v));
@@ -369,13 +372,9 @@ std::uint64_t result_fingerprint(const MultiSessionResult& result) {
 }
 
 std::uint64_t adaptation_fingerprint(const MultiSessionResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = util::kFnv1a64Offset;
   auto mix_bytes = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;
-    }
+    h = util::fnv1a64(h, data, size);
   };
   auto mix_u64 = [&mix_bytes](std::uint64_t v) { mix_bytes(&v, sizeof(v)); };
   auto mix_double = [&mix_u64](double v) {

@@ -242,23 +242,33 @@ ProgressiveDecoder::ApplyResult ProgressiveDecoder::apply(
     Band& band = band_by_id(pyramid_, static_cast<int>(b));
     int x0 = static_cast<int>(tx) * tile_;
     int y0 = static_cast<int>(ty) * tile_;
+    int tiles_x = tiles_across(band.width, tile_);
+    // The tile-grid check matters only for zero-extent tiles (w or h = 0)
+    // sitting on the band edge, which would otherwise mark a tile past the
+    // grid as received.
     if (x0 + static_cast<int>(w) > band.width ||
-        y0 + static_cast<int>(h) > band.height) {
+        y0 + static_cast<int>(h) > band.height ||
+        static_cast<int>(tx) >= tiles_x ||
+        static_cast<int>(ty) >= tiles_across(band.height, tile_)) {
       throw std::runtime_error("progressive: tile out of bounds");
     }
+    // One bounds check per tile, then a straight row copy.  A truncated
+    // tile throws before writing any of its coefficients.
+    std::size_t n = static_cast<std::size_t>(w) * h;
+    need(2 * n);
+    const std::uint8_t* src = payload.data() + at;
     for (std::uint32_t y = 0; y < h; ++y) {
-      for (std::uint32_t x = 0; x < w; ++x) {
-        std::uint32_t lo = u8(), hi = u8();
-        band.at(x0 + static_cast<int>(x), y0 + static_cast<int>(y)) =
-            static_cast<std::int16_t>(
-                static_cast<std::uint16_t>(lo | (hi << 8)));
+      std::int16_t* row = band.coeffs.data() +
+                          static_cast<std::size_t>(y0 + static_cast<int>(y)) *
+                              band.width +
+                          x0;
+      for (std::uint32_t x = 0; x < w; ++x, src += 2) {
+        row[x] = static_cast<std::int16_t>(
+            static_cast<std::uint16_t>(src[0] | (src[1] << 8)));
       }
     }
-    int tiles_x = tiles_across(band.width, tile_);
-    std::size_t idx = static_cast<std::size_t>(ty) * tiles_x + tx;
-    if (!received_[b][idx]) {
-      received_[b][idx] = true;
-    }
+    at += 2 * n;
+    received_[b][static_cast<std::size_t>(ty) * tiles_x + tx] = true;
     ++result.tiles;
     result.coefficients += static_cast<std::size_t>(w) * h;
   }

@@ -100,6 +100,46 @@ TEST(MultiClient, CachedMatchesUncachedByteForByte) {
   EXPECT_EQ(result_fingerprint(with_caches), result_fingerprint(without));
 }
 
+TEST(MultiClient, IdentityKeyedWorldsSharingOneSizeCacheKeepTheirSizes) {
+  // Identity keying names image 0 by the same hash in every world, but the
+  // process-wide size cache is shared by all of them: it must key on true
+  // content, or the second world is charged the first world's sizes.
+  ConfigPoint config = cfg(160, 1, 3);
+  CompressedSizeCache shared_sizes;
+  std::uint64_t world_wire_bytes[2] = {0, 0};
+  const std::uint64_t seeds[2] = {2026, 777};
+  for (int w = 0; w < 2; ++w) {
+    WorldSetup setup = small_setup(1);
+    setup.image_count = 1;
+    setup.image_seed = seeds[w];
+    setup.server_options.identity_keyed_regions = true;
+    // Per-world region/chunk stores, as identity keying requires.
+    RegionEncodeCache regions;
+    CompressedChunkCache chunks;
+    setup.server_options.size_cache = &shared_sizes;
+    setup.server_options.region_cache = &regions;
+    setup.server_options.chunk_cache = &chunks;
+    MultiSessionResult cached = run_multi_fixed_session(setup, config);
+
+    WorldSetup reference = setup;
+    reference.server_options.size_cache = nullptr;
+    reference.server_options.region_cache = nullptr;
+    reference.server_options.chunk_cache = nullptr;
+    MultiSessionResult uncached = run_multi_fixed_session(reference, config);
+
+    ASSERT_EQ(cached.clients.size(), 1u);
+    ASSERT_EQ(cached.clients[0].images.size(), 1u);
+    ASSERT_EQ(uncached.clients[0].images.size(), 1u);
+    world_wire_bytes[w] = cached.clients[0].images[0].wire_bytes;
+    EXPECT_EQ(world_wire_bytes[w], uncached.clients[0].images[0].wire_bytes)
+        << "world " << w;
+    EXPECT_EQ(result_fingerprint(cached), result_fingerprint(uncached))
+        << "world " << w;
+  }
+  // The two worlds really served different content under one image id.
+  EXPECT_NE(world_wire_bytes[0], world_wire_bytes[1]);
+}
+
 TEST(MultiClient, InterleavedSessionsShareRegionEncodes) {
   // With premeasured replies disabled the server ships genuine compressed
   // bytes, exercising the chunk cache across interleaved sessions too.

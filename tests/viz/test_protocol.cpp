@@ -71,6 +71,29 @@ TEST(Protocol, PremeasuredReplyOverridesWireSize) {
   EXPECT_EQ(back.payload.size(), 1000u);
 }
 
+TEST(Protocol, ReplyHeaderTrailsPayload) {
+  // The server encodes from a separate buffer; the bytes match encoding a
+  // Reply that carries the payload, and the header is stripped by length.
+  Reply m;
+  m.session_id = 3;
+  m.raw_len = 4;
+  std::vector<std::uint8_t> body = {9, 8, 7, 6};
+  sim::Message from_span = encode(m, body);
+  m.payload = body;
+  EXPECT_EQ(from_span.payload, encode(m).payload);
+  EXPECT_EQ(decode_reply(std::move(from_span)).payload, body);
+
+  // An empty body is exactly the header; one byte less is truncated.
+  sim::Message empty = encode(Reply{.session_id = 5});
+  EXPECT_EQ(empty.payload.size(), 15u);
+  sim::Message cut = empty;
+  Reply back = decode_reply(std::move(empty));
+  EXPECT_EQ(back.session_id, 5u);
+  EXPECT_TRUE(back.payload.empty());
+  cut.payload.pop_back();
+  EXPECT_THROW(decode_reply(std::move(cut)), std::runtime_error);
+}
+
 TEST(Protocol, SetCodecRoundTrip) {
   SetCodec back =
       decode_set_codec(encode(SetCodec{.session_id = 5, .codec = 2}));

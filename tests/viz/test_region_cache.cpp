@@ -32,6 +32,16 @@ std::shared_ptr<const Pyramid> test_pyramid(std::uint64_t seed = 17) {
   return std::make_shared<const Pyramid>(img, 3);
 }
 
+/// RegionEncodeCache::encode under the key the server derives.
+std::shared_ptr<const Bytes> encode(RegionEncodeCache& cache,
+                                    const util::Hash128& content,
+                                    const ProgressiveEncoder& enc,
+                                    const std::vector<TileRef>& tiles,
+                                    std::uint64_t origin_tag = 0) {
+  return cache.encode(region_key(content, enc.tile_size(), tiles), enc, tiles,
+                      origin_tag);
+}
+
 TEST(RegionEncodeCache, HitIsByteIdenticalAcrossSessions) {
   auto pyr = test_pyramid();
   util::Hash128 content = wavelet::pyramid_content_hash(*pyr);
@@ -44,7 +54,7 @@ TEST(RegionEncodeCache, HitIsByteIdenticalAcrossSessions) {
   ASSERT_FALSE(tiles.empty());
   Bytes direct = first.serialize_tiles(tiles);
 
-  auto miss = cache.encode(content, first, tiles);
+  auto miss = encode(cache, content, first, tiles);
   ASSERT_NE(miss, nullptr);
   EXPECT_EQ(*miss, direct);
   EXPECT_EQ(cache.misses(), 1u);
@@ -53,7 +63,7 @@ TEST(RegionEncodeCache, HitIsByteIdenticalAcrossSessions) {
   // Session two needs the same tiles: served from cache, byte-identical.
   std::vector<TileRef> again = second.take_region_tiles(region, 2);
   ASSERT_EQ(again, tiles);
-  auto hit = cache.encode(content, second, again);
+  auto hit = encode(cache, content, second, again);
   EXPECT_EQ(*hit, direct);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -72,8 +82,8 @@ TEST(RegionEncodeCache, DistinctTileListsAreDistinctEntries) {
   ASSERT_FALSE(fine.empty());
   ASSERT_NE(coarse, fine);
 
-  auto a = cache.encode(content, enc, coarse);
-  auto b = cache.encode(content, enc, fine);
+  auto a = encode(cache, content, enc, coarse);
+  auto b = encode(cache, content, enc, fine);
   EXPECT_NE(*a, *b);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
@@ -103,7 +113,7 @@ TEST(RegionEncodeCache, ByteBudgetEvictionRespectsBound) {
   RegionEncodeCache cache(store);
 
   for (const auto& tiles : lists) {
-    (void)cache.encode(content, enc, tiles);
+    (void)encode(cache, content, enc, tiles);
   }
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
@@ -112,7 +122,7 @@ TEST(RegionEncodeCache, ByteBudgetEvictionRespectsBound) {
   // The oldest entry was evicted: re-encoding it is a fresh miss, and the
   // payload still matches the pure serialization.
   std::uint64_t misses_before = cache.misses();
-  auto re = cache.encode(content, enc, lists[0]);
+  auto re = encode(cache, content, enc, lists[0]);
   EXPECT_EQ(*re, enc.serialize_tiles(lists[0]));
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
@@ -129,9 +139,9 @@ TEST(RegionEncodeCache, EntryPinsPayloadPastEviction) {
   TileStore store(opts);
   RegionEncodeCache cache(store);
 
-  auto held = cache.encode(content, enc, first);
+  auto held = encode(cache, content, enc, first);
   Bytes snapshot = *held;
-  (void)cache.encode(content, enc, second);  // evicts `first`'s entry
+  (void)encode(cache, content, enc, second);  // evicts `first`'s entry
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(*held, snapshot);  // shared ownership keeps the payload alive
 }
@@ -173,7 +183,7 @@ TEST(RegionEncodeCache, NewKeyingAgreesWithStringKeyOracle) {
     oracle[key.str()] = true;
 
     std::uint64_t hits_before = cache.hits();
-    (void)cache.encode(content, probe, tiles);
+    (void)encode(cache, content, probe, tiles);
     bool new_hit = cache.hits() == hits_before + 1;
     EXPECT_EQ(new_hit, oracle_hit) << "keying divergence on " << key.str();
   }
@@ -200,8 +210,8 @@ TEST(RegionEncodeCache, CrossImageDedupByteEquality) {
   std::vector<TileRef> tiles_b = enc_b.take_region_tiles({64, 64, 32}, 2);
   ASSERT_EQ(tiles_a, tiles_b);
 
-  auto first = cache.encode(content_a, enc_a, tiles_a, /*origin_tag=*/1);
-  auto second = cache.encode(content_b, enc_b, tiles_b, /*origin_tag=*/2);
+  auto first = encode(cache, content_a, enc_a, tiles_a, /*origin_tag=*/1);
+  auto second = encode(cache, content_b, enc_b, tiles_b, /*origin_tag=*/2);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(store.unique_entries(), 1u);
@@ -216,7 +226,7 @@ TEST(RegionEncodeCache, CrossImageDedupByteEquality) {
   ProgressiveEncoder enc_c(*pyr_c, 8);
   std::vector<TileRef> tiles_c = enc_c.take_region_tiles({64, 64, 32}, 2);
   ASSERT_EQ(tiles_c, tiles_a);  // same geometry, different coefficients
-  auto third = cache.encode(content_c, enc_c, tiles_c, /*origin_tag=*/3);
+  auto third = encode(cache, content_c, enc_c, tiles_c, /*origin_tag=*/3);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_NE(*third, *first);
 }
@@ -283,7 +293,7 @@ TEST(SharedStore, LayersShareBudgetNotKeys) {
   util::Hash128 content = wavelet::pyramid_content_hash(*pyr);
   ProgressiveEncoder enc(*pyr, 8);
   std::vector<TileRef> tiles = enc.take_region_tiles({64, 64, 32}, 2);
-  auto region_payload = regions.encode(content, enc, tiles);
+  auto region_payload = encode(regions, content, enc, tiles);
 
   // Compress the region payload itself: same input bytes flowing through
   // the other layer must create a *second* entry, not hit the first.

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace avf::wavelet {
 namespace {
 
@@ -181,6 +189,217 @@ TEST(Progressive, TakeRegionTilesMarksSent) {
   // even though serialize_tiles never ran.
   EXPECT_TRUE(rig.enc.take_region_tiles(r, 2).empty());
   EXPECT_TRUE(rig.enc.encode_region(r, 2).empty());
+}
+
+// -- decoder fast path vs the per-coefficient reference ------------------
+
+/// The per-coefficient decoder ProgressiveDecoder::apply replaced (two
+/// bounds checks per coefficient), kept verbatim as the oracle for the
+/// one-check-per-tile row loop.
+class ReferenceDecoder {
+ public:
+  ReferenceDecoder(int width, int height, int levels, int tile)
+      : pyramid_(width, height, levels), tile_(tile) {
+    for (int b = 0; b < progdetail::band_count(levels); ++b) {
+      const Band& band = progdetail::band_by_id(pyramid_, b);
+      received_.emplace_back(static_cast<std::size_t>(across(band.width)) *
+                                 across(band.height),
+                             false);
+    }
+  }
+
+  ProgressiveDecoder::ApplyResult apply(std::span<const std::uint8_t> payload) {
+    ProgressiveDecoder::ApplyResult result;
+    if (payload.empty()) return result;
+    std::size_t at = 0;
+    auto need = [&](std::size_t n) {
+      if (at + n > payload.size()) {
+        throw std::runtime_error("progressive: truncated payload");
+      }
+    };
+    auto u8 = [&]() -> std::uint32_t {
+      need(1);
+      return payload[at++];
+    };
+    auto u16 = [&]() -> std::uint32_t {
+      need(2);
+      std::uint32_t v =
+          payload[at] | (static_cast<std::uint32_t>(payload[at + 1]) << 8);
+      at += 2;
+      return v;
+    };
+    std::uint32_t count = u16();
+    for (std::uint32_t t = 0; t < count; ++t) {
+      std::uint32_t b = u8();
+      if (static_cast<int>(b) >= progdetail::band_count(pyramid_.levels())) {
+        throw std::runtime_error("progressive: bad band id");
+      }
+      std::uint32_t tx = u16();
+      std::uint32_t ty = u16();
+      std::uint32_t w = u8();
+      std::uint32_t h = u8();
+      Band& band = progdetail::band_by_id(pyramid_, static_cast<int>(b));
+      int x0 = static_cast<int>(tx) * tile_;
+      int y0 = static_cast<int>(ty) * tile_;
+      if (x0 + static_cast<int>(w) > band.width ||
+          y0 + static_cast<int>(h) > band.height) {
+        throw std::runtime_error("progressive: tile out of bounds");
+      }
+      for (std::uint32_t y = 0; y < h; ++y) {
+        for (std::uint32_t x = 0; x < w; ++x) {
+          std::uint32_t lo = u8(), hi = u8();
+          band.at(x0 + static_cast<int>(x), y0 + static_cast<int>(y)) =
+              static_cast<std::int16_t>(
+                  static_cast<std::uint16_t>(lo | (hi << 8)));
+        }
+      }
+      received_[b][static_cast<std::size_t>(ty) * across(band.width) + tx] =
+          true;
+      ++result.tiles;
+      result.coefficients += static_cast<std::size_t>(w) * h;
+    }
+    if (at != payload.size()) {
+      throw std::runtime_error("progressive: trailing bytes");
+    }
+    return result;
+  }
+
+  double coverage(int level) const {
+    std::size_t have = 0, total = 0;
+    for (int b = 0; b < progdetail::band_count(pyramid_.levels()); ++b) {
+      if (!progdetail::band_in_level(b, level)) continue;
+      total += received_[b].size();
+      for (bool r : received_[b]) have += r ? 1 : 0;
+    }
+    return total == 0 ? 0.0 : static_cast<double>(have) / total;
+  }
+
+  const Pyramid& pyramid() const { return pyramid_; }
+
+ private:
+  int across(int extent) const { return (extent + tile_ - 1) / tile_; }
+
+  Pyramid pyramid_;
+  int tile_;
+  std::vector<std::vector<bool>> received_;
+};
+
+void expect_same_bands(const Pyramid& a, const Pyramid& b) {
+  ASSERT_EQ(a.levels(), b.levels());
+  for (int id = 0; id < progdetail::band_count(a.levels()); ++id) {
+    EXPECT_EQ(progdetail::band_by_id(a, id).coeffs,
+              progdetail::band_by_id(b, id).coeffs)
+        << "band " << id;
+  }
+}
+
+/// The message of the std::runtime_error `f` throws ("" when it does not).
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Progressive, DecoderMatchesPerCoefficientReference) {
+  constexpr int kTiles[] = {1, 3, 5, 8, 16, 17, 255};
+  util::SplitMix64 rng(20261019);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int levels = 1 + static_cast<int>(rng.next_below(3));
+    // Sides are multiples of 2^levels but rarely of the tile, so bands end
+    // in edge tiles narrower and shorter than the tile size.
+    const int width =
+        (1 << levels) * (1 + static_cast<int>(rng.next_below(12)));
+    const int height =
+        (1 << levels) * (1 + static_cast<int>(rng.next_below(12)));
+    const int tile = kTiles[rng.next_below(std::size(kTiles))];
+    Image img = Image::synthetic(width, height, rng.next());
+    Pyramid pyr(img, levels);
+    ProgressiveEncoder enc(pyr, tile);
+    ProgressiveDecoder fast(width, height, levels, tile);
+    ReferenceDecoder ref(width, height, levels, tile);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << ": " << width
+                                    << "x" << height << " levels " << levels
+                                    << " tile " << tile);
+
+    for (int step = 0; step < 6; ++step) {
+      Region fovea{static_cast<int>(rng.next_below(width)),
+                   static_cast<int>(rng.next_below(height)),
+                   static_cast<int>(rng.next_below(width + height))};
+      int level = static_cast<int>(rng.next_below(levels + 1));
+      Bytes payload = enc.encode_region(fovea, level);
+      ProgressiveDecoder::ApplyResult a = fast.apply(payload);
+      ProgressiveDecoder::ApplyResult b = ref.apply(payload);
+      EXPECT_EQ(a.tiles, b.tiles);
+      EXPECT_EQ(a.coefficients, b.coefficients);
+      for (int l = 0; l <= levels; ++l) {
+        EXPECT_EQ(fast.coverage(l), ref.coverage(l)) << "level " << l;
+      }
+    }
+    expect_same_bands(fast.pyramid(), ref.pyramid());
+    // Finish the image: both decoders end lossless.
+    Bytes rest = enc.encode_region(full_region(img), levels);
+    EXPECT_EQ(fast.apply(rest).coefficients, ref.apply(rest).coefficients);
+    expect_same_bands(fast.pyramid(), ref.pyramid());
+    EXPECT_EQ(fast.reconstruct(levels), img);
+  }
+}
+
+TEST(Progressive, HostilePayloadsThrowTheReferenceErrors) {
+  // 40x24 at 2 levels: 10x6 bands, 8-wide tiles, so every band has an
+  // edge tile (w 2, h 6 / 6).
+  Image img = Image::synthetic(40, 24, 5);
+  Pyramid pyr(img, 2);
+  ProgressiveEncoder enc(pyr, 8);
+  const Bytes payload = enc.encode_region(Region{20, 12, 40}, 2);
+  ASSERT_GT(payload.size(), 64u);
+
+  auto same_error = [](const Bytes& bytes) {
+    ProgressiveDecoder fast(40, 24, 2, 8);
+    ReferenceDecoder ref(40, 24, 2, 8);
+    std::string want = error_of([&] { ref.apply(bytes); });
+    EXPECT_EQ(error_of([&] { fast.apply(bytes); }), want);
+    return want;
+  };
+
+  // Cut at every length: mid-header, mid-tile header, mid-coefficients.
+  for (std::size_t n = 1; n < payload.size(); ++n) {
+    Bytes cut(payload.begin(), payload.begin() + static_cast<long>(n));
+    EXPECT_EQ(same_error(cut), "progressive: truncated payload") << n;
+  }
+  // Header offsets of the first and second tiles (tile 0 is the LL tile
+  // at (0, 0), 8x6 coefficients).
+  const std::size_t first = 2;
+  const std::size_t second = first + 7 + 2 * 8 * 6;
+  for (std::size_t tile : {first, second}) {
+    Bytes bad_band = payload;
+    bad_band[tile] = 0xFF;
+    EXPECT_EQ(same_error(bad_band), "progressive: bad band id");
+
+    Bytes far_x = payload;
+    far_x[tile + 1] = 0xFF;  // tx low byte
+    EXPECT_EQ(same_error(far_x), "progressive: tile out of bounds");
+
+    Bytes tall = payload;
+    tall[tile + 6] = 0xFF;  // h
+    EXPECT_EQ(same_error(tall), "progressive: tile out of bounds");
+  }
+  Bytes trailing = payload;
+  trailing.push_back(0);
+  EXPECT_EQ(same_error(trailing), "progressive: trailing bytes");
+  EXPECT_EQ(same_error(payload), "");
+}
+
+TEST(Progressive, ZeroExtentTilePastTheGridIsOutOfBounds) {
+  // A 0x0 tile at tile index (2, 0) of a 16x16 band with 8-wide tiles
+  // passes the extent check (16 + 0 <= 16) but names a tile past the grid.
+  ProgressiveDecoder dec(32, 32, 1, 8);
+  Bytes payload = {1, 0, /*band*/ 0, /*tx*/ 2, 0, /*ty*/ 0, 0, /*w*/ 0,
+                   /*h*/ 0};
+  EXPECT_EQ(error_of([&] { dec.apply(payload); }),
+            "progressive: tile out of bounds");
 }
 
 }  // namespace
