@@ -22,9 +22,7 @@
 #include "util/table.hpp"
 #include "viz/world.hpp"
 
-#ifndef AVF_GIT_REV
-#define AVF_GIT_REV "unknown"
-#endif
+#include "avf_git_rev.hpp"  // AVF_GIT_REV, generated by bench/git_rev.cmake
 
 namespace avf::bench {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -14,29 +13,59 @@ namespace avf::codec {
 namespace bwtdetail {
 
 std::vector<std::uint32_t> suffix_array(BytesView data) {
-  // Suffixes of data + implicit sentinel (smaller than every byte).
-  // Prefix doubling with rank pairs; ranks use -1 for "past the end".
-  std::size_t n = data.size() + 1;
-  std::vector<std::uint32_t> sa(n);
-  std::vector<std::int32_t> rank(n), tmp(n);
-  std::iota(sa.begin(), sa.end(), 0u);
-  for (std::size_t i = 0; i + 1 < n; ++i) rank[i] = data[i];
-  rank[n - 1] = -1;  // sentinel suffix
+  // Suffixes of data + implicit sentinel (smaller than every byte).  Prefix
+  // doubling: after the round for k, sa is sorted by the first 2k symbols
+  // and rank[i] is the dense class of suffix i under that order.  Each
+  // round is one stable counting sort by first-half rank of the suffixes
+  // already ordered by their second half, so a round is O(n).
+  const std::size_t n = data.size() + 1;
+  std::vector<std::uint32_t> sa(n), order(n), rank(n), next(n);
+  std::vector<std::uint32_t> count(std::max<std::size_t>(n, 257));
 
-  for (std::size_t k = 1;; k *= 2) {
-    auto key = [&](std::uint32_t i) {
-      std::int32_t second = (i + k < n) ? rank[i + k] : -2;
-      return std::pair<std::int32_t, std::int32_t>(rank[i], second);
-    };
-    std::sort(sa.begin(), sa.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return key(a) < key(b);
-    });
-    tmp[sa[0]] = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      tmp[sa[i]] = tmp[sa[i - 1]] + (key(sa[i - 1]) < key(sa[i]) ? 1 : 0);
+  // Round 0: counting sort by first symbol; the sentinel is class 0.
+  rank[n - 1] = 0;
+  for (std::size_t i = 0; i + 1 < n; ++i) rank[i] = data[i] + 1u;
+  for (std::size_t i = 0; i < n; ++i) ++count[rank[i]];
+  for (std::size_t c = 1; c < 257; ++c) count[c] += count[c - 1];
+  for (std::size_t i = n; i-- > 0;) {
+    sa[--count[rank[i]]] = static_cast<std::uint32_t>(i);
+  }
+  std::uint32_t classes = 1;
+  next[sa[0]] = 0;
+  for (std::size_t j = 1; j < n; ++j) {
+    if (rank[sa[j]] != rank[sa[j - 1]]) ++classes;
+    next[sa[j]] = classes - 1;
+  }
+  rank.swap(next);
+
+  for (std::size_t k = 1; classes < n; k *= 2) {
+    // Second-half order: suffixes whose second half is empty come first
+    // (their class is already unique, so their mutual order is moot), then
+    // the rest in the order of the suffix k positions further on.
+    std::size_t p = 0;
+    for (std::size_t i = n - k; i < n; ++i) {
+      order[p++] = static_cast<std::uint32_t>(i);
     }
-    rank = tmp;
-    if (rank[sa[n - 1]] == static_cast<std::int32_t>(n) - 1) break;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (sa[j] >= k) order[p++] = static_cast<std::uint32_t>(sa[j] - k);
+    }
+    // Stable counting sort by first-half class.
+    std::fill(count.begin(), count.begin() + classes, 0u);
+    for (std::size_t i = 0; i < n; ++i) ++count[rank[i]];
+    for (std::size_t c = 1; c < classes; ++c) count[c] += count[c - 1];
+    for (std::size_t j = n; j-- > 0;) sa[--count[rank[order[j]]]] = order[j];
+    // Dense classes of the (first half, second half) pairs.
+    auto second = [&](std::uint32_t i) -> std::uint32_t {
+      return i + k < n ? rank[i + k] + 1 : 0;
+    };
+    classes = 1;
+    next[sa[0]] = 0;
+    for (std::size_t j = 1; j < n; ++j) {
+      const std::uint32_t a = sa[j - 1], b = sa[j];
+      if (rank[a] != rank[b] || second(a) != second(b)) ++classes;
+      next[b] = classes - 1;
+    }
+    rank.swap(next);
   }
   return sa;
 }
@@ -121,63 +150,6 @@ Bytes mtf_decode(BytesView input) {
   return out;
 }
 
-Bytes rle_encode(BytesView input) {
-  Bytes out;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    // Measure the run starting at i.
-    std::size_t run = 1;
-    while (i + run < input.size() && input[i + run] == input[i] &&
-           run < 128) {
-      ++run;
-    }
-    if (run >= 3) {
-      out.push_back(static_cast<std::uint8_t>(257 - run));
-      out.push_back(input[i]);
-      i += run;
-      continue;
-    }
-    // Collect literals until the next run of >= 3 (or 128 literals).
-    std::size_t start = i;
-    std::size_t lits = 0;
-    while (i < input.size() && lits < 128) {
-      std::size_t r = 1;
-      while (i + r < input.size() && input[i + r] == input[i] && r < 3) ++r;
-      if (r >= 3) break;
-      i += r;
-      lits += r;
-    }
-    if (lits > 128) {  // r==2 step may overshoot by one
-      --lits;
-      --i;
-    }
-    out.push_back(static_cast<std::uint8_t>(lits - 1));
-    out.insert(out.end(), input.begin() + start, input.begin() + start + lits);
-  }
-  return out;
-}
-
-Bytes rle_decode(BytesView input) {
-  Bytes out;
-  std::size_t i = 0;
-  while (i < input.size()) {
-    std::uint8_t ctl = input[i++];
-    if (ctl <= 127) {
-      std::size_t lits = ctl + 1u;
-      if (i + lits > input.size()) throw std::runtime_error("rle: truncated");
-      out.insert(out.end(), input.begin() + i, input.begin() + i + lits);
-      i += lits;
-    } else if (ctl >= 129) {
-      if (i >= input.size()) throw std::runtime_error("rle: truncated run");
-      std::size_t run = 257u - ctl;
-      out.insert(out.end(), run, input[i++]);
-    } else {
-      throw std::runtime_error("rle: invalid control byte 128");
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// Compute Huffman code lengths over an `alphabet`-sized histogram.
@@ -250,6 +222,16 @@ void canonical_codes(std::span<const std::uint8_t> lengths,
   }
 }
 
+/// The low `len` bits of `code` in reverse order.
+std::uint32_t reverse_bits(std::uint32_t code, int len) {
+  std::uint32_t out = 0;
+  for (int i = 0; i < len; ++i) {
+    out = (out << 1) | (code & 1u);
+    code >>= 1;
+  }
+  return out;
+}
+
 struct CanonicalDecoder {
   static constexpr int kMaxLen = 64;
   std::array<std::uint32_t, kMaxLen + 1> count{}, first_code{}, first_index{};
@@ -296,34 +278,6 @@ struct CanonicalDecoder {
 };
 
 }  // namespace
-
-Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]) {
-  std::array<std::uint64_t, 256> freq{};
-  for (std::uint8_t b : input) ++freq[b];
-  huffman_lengths(freq, lengths_out);
-  std::uint32_t codes[256] = {};
-  canonical_codes(lengths_out, codes);
-  BitWriter bits;
-  for (std::uint8_t b : input) {
-    // Emit MSB-first so canonical decode can walk bit by bit.
-    for (int i = lengths_out[b] - 1; i >= 0; --i) {
-      bits.write((codes[b] >> i) & 1u, 1);
-    }
-  }
-  return bits.take();
-}
-
-Bytes huffman_decode(BytesView data, const std::uint8_t (&lengths)[256],
-                     std::size_t output_size) {
-  CanonicalDecoder decoder{std::span<const std::uint8_t>(lengths)};
-  BitReader bits(data);
-  Bytes out;
-  out.reserve(std::min<std::size_t>(output_size, 1u << 22));
-  while (out.size() < output_size) {
-    out.push_back(static_cast<std::uint8_t>(decoder.decode_one(bits)));
-  }
-  return out;
-}
 
 std::vector<std::uint16_t> rle0_encode(BytesView mtf) {
   std::vector<std::uint16_t> out;
@@ -400,14 +354,21 @@ Bytes huffman_encode_sym(std::span<const std::uint16_t> symbols, int alphabet,
   }
   lengths_out.assign(static_cast<std::size_t>(alphabet), 0);
   huffman_lengths(freq, lengths_out);
+  if (!lengths_out.empty() &&
+      *std::max_element(lengths_out.begin(), lengths_out.end()) >
+          kMaxCodeLength) {
+    throw std::length_error("huffman: code longer than 32 bits");
+  }
   std::vector<std::uint32_t> codes(static_cast<std::size_t>(alphabet), 0);
   canonical_codes(lengths_out, codes);
-  BitWriter bits;
-  for (std::uint16_t s : symbols) {
-    for (int i = lengths_out[s] - 1; i >= 0; --i) {
-      bits.write((codes[s] >> i) & 1u, 1);
-    }
+  // Codes are defined MSB-first (the decoder walks them bit by bit) but the
+  // stream packs LSB-first, so emitting each code bit-reversed in one write
+  // lays down exactly the bits of a one-bit-at-a-time MSB-first emission.
+  for (std::size_t s = 0; s < codes.size(); ++s) {
+    codes[s] = reverse_bits(codes[s], lengths_out[s]);
   }
+  BitWriter bits;
+  for (std::uint16_t s : symbols) bits.write(codes[s], lengths_out[s]);
   return bits.take();
 }
 

@@ -1,14 +1,17 @@
 // Bzip2-style block compressor — the paper's "compression B".
 //
 // Pipeline per block (default 64 KiB): Burrows-Wheeler transform (suffix
-// array by prefix doubling), move-to-front, packbits-style run-length
-// coding, canonical Huffman.  Substantially better ratio than LZW on the
-// wavelet-coefficient data the visualization application ships, at a much
-// higher CPU cost — exactly the trade-off that produces the Figure 6(a)
-// crossover.
+// array by prefix doubling with counting sorts), move-to-front, bzip2 RLE0
+// zero-run coding, canonical Huffman over the 257-symbol RLE0 alphabet.
+// Substantially better ratio than LZW on the wavelet-coefficient data the
+// visualization application ships, at a much higher CPU cost — exactly the
+// trade-off that produces the Figure 6(a) crossover.
 //
-// Format: per block { u32 original_len | u32 primary_index | u32
-// compressed_len | huffman table (256 x 1-byte code lengths) | bitstream }.
+// Format (all integers u32 little-endian):
+//   original_len
+//   per block: block_len | primary_index | sym_count | packed_len |
+//              257 x 1-byte code lengths | packed_len bytes of LSB-first
+//              packed Huffman codes (each code MSB-first in stream order)
 #pragma once
 
 #include "codec/codec.hpp"
@@ -47,17 +50,6 @@ Bytes bwt_inverse(BytesView last_column, std::uint32_t primary_index);
 Bytes mtf_encode(BytesView input);
 Bytes mtf_decode(BytesView input);
 
-/// Packbits-style RLE: control byte n in [0,127] = n+1 literals follow;
-/// n in [129,255] = repeat next byte 257-n times; 128 unused.
-Bytes rle_encode(BytesView input);
-Bytes rle_decode(BytesView input);
-
-/// Canonical Huffman over bytes.  `lengths_out` receives 256 code lengths
-/// (0 = symbol absent).  Decode needs the same table.
-Bytes huffman_encode(BytesView input, std::uint8_t (&lengths_out)[256]);
-Bytes huffman_decode(BytesView bits, const std::uint8_t (&lengths)[256],
-                     std::size_t output_size);
-
 /// bzip2-style zero-run coding of the MTF stream: symbols 0/1 are RUNA/RUNB
 /// digits of a bijective base-2 run length; MTF value v >= 1 maps to symbol
 /// v + 1.  Alphabet size = 257.
@@ -68,8 +60,16 @@ std::vector<std::uint16_t> rle0_encode(BytesView mtf);
 Bytes rle0_decode(std::span<const std::uint16_t> symbols,
                   std::size_t max_output = SIZE_MAX);
 
+/// Longest Huffman code the encoder emits: one BitWriter::write per code.
+/// A code of length L needs a symbol total of at least F(L + 2) (Fibonacci),
+/// so exceeding 32 bits takes F(35) ~ 9.2 M symbols in one block, far above
+/// the 64 KiB default block.
+constexpr int kMaxCodeLength = 32;
+
 /// Canonical Huffman over an arbitrary small symbol alphabet (used with the
-/// RLE0 stream).  `lengths_out` must have `alphabet` entries.
+/// RLE0 stream).  `lengths_out` receives `alphabet` code lengths (0 = symbol
+/// absent); decode needs the same table.  Throws std::length_error if a code
+/// would exceed kMaxCodeLength.
 Bytes huffman_encode_sym(std::span<const std::uint16_t> symbols, int alphabet,
                          std::vector<std::uint8_t>& lengths_out);
 std::vector<std::uint16_t> huffman_decode_sym(
@@ -77,7 +77,7 @@ std::vector<std::uint16_t> huffman_decode_sym(
     std::size_t symbol_count);
 
 /// Suffix array of `data` (treating it as ending with a unique smallest
-/// sentinel) by prefix doubling; O(n log^2 n).
+/// sentinel) by prefix doubling with a counting sort per round; O(n log n).
 std::vector<std::uint32_t> suffix_array(BytesView data);
 
 }  // namespace bwtdetail

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 
@@ -35,6 +36,82 @@ TEST(SuffixArray, EmptyAndSingle) {
   EXPECT_EQ(suffix_array({}).size(), 1u);
   Bytes one = {65};
   EXPECT_EQ(suffix_array(one), (std::vector<std::uint32_t>{1, 0}));
+}
+
+// Reference: the original prefix doubling with a comparison sort per round
+// (O(n log^2 n)).  The suffix array of data + sentinel is unique, so the
+// counting-sort version must return exactly the same permutation.
+std::vector<std::uint32_t> reference_suffix_array(BytesView data) {
+  std::size_t n = data.size() + 1;
+  std::vector<std::uint32_t> sa(n);
+  std::vector<std::int32_t> rank(n), tmp(n);
+  std::iota(sa.begin(), sa.end(), 0u);
+  for (std::size_t i = 0; i + 1 < n; ++i) rank[i] = data[i];
+  rank[n - 1] = -1;
+  for (std::size_t k = 1;; k *= 2) {
+    auto key = [&](std::uint32_t i) {
+      std::int32_t second = (i + k < n) ? rank[i + k] : -2;
+      return std::pair<std::int32_t, std::int32_t>(rank[i], second);
+    };
+    std::sort(sa.begin(), sa.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return key(a) < key(b);
+    });
+    tmp[sa[0]] = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      tmp[sa[i]] = tmp[sa[i - 1]] + (key(sa[i - 1]) < key(sa[i]) ? 1 : 0);
+    }
+    rank = tmp;
+    if (rank[sa[n - 1]] == static_cast<std::int32_t>(n) - 1) break;
+  }
+  return sa;
+}
+
+Bytes periodic_bytes(std::size_t n, const std::string& period) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(period[i % period.size()]);
+  }
+  return out;
+}
+
+/// The first Fibonacci word (a, ab, aba, abaab, ...) of at least `n` bytes.
+Bytes fibonacci_word(std::size_t n) {
+  std::string a = "a", b = "ab";
+  while (b.size() < n) {
+    std::string next = b + a;
+    a = std::move(b);
+    b = std::move(next);
+  }
+  return to_bytes(b);
+}
+
+TEST(SuffixArray, MatchesReferenceOnSeededRandomInputs) {
+  for (int alphabet : {2, 4, 256}) {
+    for (std::size_t n : {2u, 3u, 17u, 255u, 1000u, 4096u, 20000u}) {
+      Bytes in = random_bytes(n, n * 31 + static_cast<std::size_t>(alphabet),
+                              alphabet);
+      EXPECT_EQ(suffix_array(in), reference_suffix_array(in))
+          << "alphabet " << alphabet << " n " << n;
+    }
+  }
+}
+
+TEST(SuffixArray, MatchesReferenceOnAdversarialInputs) {
+  std::vector<std::pair<std::string, Bytes>> cases = {
+      {"empty", {}},
+      {"one byte", {0}},
+      {"one byte 0xff", {255}},
+      {"run of 65536", Bytes(65536, 7)},
+      {"run of zeros", Bytes(5000, 0)},
+      {"period 2", periodic_bytes(20000, "ab")},
+      {"period 3", periodic_bytes(20001, "abc")},
+      {"period 3 with a repeat", periodic_bytes(10001, "aab")},
+      {"fibonacci 17711", fibonacci_word(17711)},
+      {"fibonacci 1597", fibonacci_word(1597)},
+  };
+  for (const auto& [name, in] : cases) {
+    EXPECT_EQ(suffix_array(in), reference_suffix_array(in)) << name;
+  }
 }
 
 TEST(Bwt, ForwardBanana) {
@@ -78,64 +155,106 @@ TEST(Mtf, RoundTripRandom) {
   EXPECT_EQ(mtf_decode(mtf_encode(in)), in);
 }
 
-TEST(Rle, EncodesRuns) {
-  Bytes in = {5, 5, 5, 5, 5, 7};
-  Bytes enc = rle_encode(in);
-  EXPECT_EQ(rle_decode(enc), in);
-  EXPECT_LT(enc.size(), in.size());
+TEST(Rle0, BijectiveRunDigits) {
+  // Runs of zeros become RUNA(0)/RUNB(1) digits of a bijective base-2
+  // number, least significant first; a non-zero MTF value v becomes v + 1.
+  Bytes mtf = {0, 0, 0, 5, 0, 0, 0, 0, 255};
+  EXPECT_EQ(rle0_encode(mtf),
+            (std::vector<std::uint16_t>{0, 0, 6, 1, 0, 256}));
+  EXPECT_EQ(rle0_decode(rle0_encode(mtf)), mtf);
 }
 
-TEST(Rle, LiteralsPassThrough) {
-  Bytes in = {1, 2, 3, 4, 5};
-  EXPECT_EQ(rle_decode(rle_encode(in)), in);
-}
-
-TEST(Rle, LongRunsSplit) {
-  Bytes in(1000, 0);
-  Bytes enc = rle_encode(in);
-  EXPECT_EQ(rle_decode(enc), in);
-  EXPECT_LT(enc.size(), 20u);
-}
-
-TEST(Rle, RoundTripRandom) {
+TEST(Rle0, RoundTripRunsAndLiterals) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    Bytes in = random_bytes(3000, seed, seed % 2 ? 3 : 256);
-    EXPECT_EQ(rle_decode(rle_encode(in)), in);
+    util::SplitMix64 rng(seed);
+    Bytes mtf;
+    while (mtf.size() < 5000) {
+      if (rng.next_below(2) == 0) {
+        mtf.insert(mtf.end(), 1 + rng.next_below(300), 0);
+      } else {
+        mtf.push_back(static_cast<std::uint8_t>(1 + rng.next_below(255)));
+      }
+    }
+    std::vector<std::uint16_t> symbols = rle0_encode(mtf);
+    EXPECT_LT(symbols.size(), mtf.size());
+    EXPECT_EQ(rle0_decode(symbols), mtf);
   }
 }
 
-TEST(Rle, InvalidControlByteThrows) {
-  Bytes bad = {128, 1};
-  EXPECT_THROW(rle_decode(bad), std::runtime_error);
+TEST(Rle0, DecodeRejectsBadStreams) {
+  std::vector<std::uint16_t> out_of_range = {2, kRle0Alphabet};
+  EXPECT_THROW(rle0_decode(out_of_range), std::runtime_error);
+  std::vector<std::uint16_t> long_run = {1, 1, 1};  // 14 zeros
+  EXPECT_EQ(rle0_decode(long_run).size(), 14u);
+  EXPECT_THROW(rle0_decode(long_run, 13), std::runtime_error);
 }
 
-TEST(Rle, TruncatedThrows) {
-  Bytes bad = {3};  // promises 4 literals, provides none
-  EXPECT_THROW(rle_decode(bad), std::runtime_error);
+std::vector<std::uint16_t> huffman_round_trip(
+    const std::vector<std::uint16_t>& in, int alphabet,
+    std::vector<std::uint8_t>& lengths, Bytes& packed) {
+  packed = huffman_encode_sym(in, alphabet, lengths);
+  return huffman_decode_sym(packed, lengths, in.size());
 }
 
 TEST(Huffman, RoundTripSkewed) {
-  Bytes in;
+  std::vector<std::uint16_t> in;
   for (int i = 0; i < 1000; ++i) in.push_back(i % 10 == 0 ? 200 : 7);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
-  EXPECT_LT(enc.size(), in.size() / 4);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  std::vector<std::uint8_t> lengths;
+  Bytes packed;
+  EXPECT_EQ(huffman_round_trip(in, kRle0Alphabet, lengths, packed), in);
+  EXPECT_LT(packed.size(), in.size() / 4);
 }
 
 TEST(Huffman, SingleSymbolInput) {
-  Bytes in(100, 42);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
+  std::vector<std::uint16_t> in(100, 42);
+  std::vector<std::uint8_t> lengths;
+  Bytes packed;
+  EXPECT_EQ(huffman_round_trip(in, kRle0Alphabet, lengths, packed), in);
   EXPECT_EQ(lengths[42], 1);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  EXPECT_EQ(std::count(lengths.begin(), lengths.end(), 0),
+            kRle0Alphabet - 1);
 }
 
 TEST(Huffman, RoundTripUniform) {
-  Bytes in = random_bytes(10000, 5);
-  std::uint8_t lengths[256];
-  Bytes enc = huffman_encode(in, lengths);
-  EXPECT_EQ(huffman_decode(enc, lengths, in.size()), in);
+  util::SplitMix64 rng(5);
+  std::vector<std::uint16_t> in(10000);
+  for (auto& s : in) {
+    s = static_cast<std::uint16_t>(rng.next_below(kRle0Alphabet));
+  }
+  std::vector<std::uint8_t> lengths;
+  Bytes packed;
+  EXPECT_EQ(huffman_round_trip(in, kRle0Alphabet, lengths, packed), in);
+}
+
+TEST(Huffman, RejectsSymbolOutsideAlphabet) {
+  std::vector<std::uint16_t> in = {0, 1, 300};
+  std::vector<std::uint8_t> lengths;
+  EXPECT_THROW(huffman_encode_sym(in, kRle0Alphabet, lengths),
+               std::invalid_argument);
+}
+
+TEST(Huffman, CodeLongerThan32BitsThrowsLengthError) {
+  // Fibonacci frequencies F(1), F(2), ... build a chain: with these tie
+  // breaks each merge joins the next leaf to the whole tree so far, so m
+  // symbols give an (m - 1)-bit code.
+  auto fibonacci_symbols = [](int m) {
+    std::vector<std::uint16_t> out;
+    std::uint64_t a = 1, b = 1;
+    for (int sym = 0; sym < m; ++sym) {
+      out.insert(out.end(), a, static_cast<std::uint16_t>(sym));
+      std::uint64_t c = a + b;
+      a = b;
+      b = c;
+    }
+    return out;
+  };
+  std::vector<std::uint8_t> lengths;
+  EXPECT_THROW(huffman_encode_sym(fibonacci_symbols(34), 34, lengths),
+               std::length_error);
+  std::vector<std::uint16_t> in = fibonacci_symbols(33);
+  Bytes packed;
+  EXPECT_EQ(huffman_round_trip(in, 33, lengths, packed), in);
+  EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()), kMaxCodeLength);
 }
 
 TEST(BwtCodec, RoundTripEmpty) {
