@@ -1,10 +1,11 @@
 #include "sim/fluid_resource.hpp"
 
 #include <algorithm>
-#include "util/fmt.hpp"
 #include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "util/fmt.hpp"
 
 namespace avf::sim {
 
@@ -143,9 +144,11 @@ bool FluidResource::finished(const Request& r, SimTime now) const {
 }
 
 void FluidResource::schedule_completion(RequestIt it) {
-  it->completion.cancel();
-  it->completion = sim_.schedule(it->remaining / it->rate,
-                                 [this, it] { on_completion(it); });
+  SimTime delay = it->remaining / it->rate;
+  // A pending event keeps its callback (it already names `it`) and is only
+  // re-keyed; a fired or never-scheduled one needs a fresh event.
+  if (sim_.reschedule(it->completion, delay)) return;
+  it->completion = sim_.schedule(delay, [this, it] { on_completion(it); });
 }
 
 void FluidResource::on_completion(RequestIt it) {
@@ -202,47 +205,20 @@ void FluidResource::full_reallocate() {
   }
 
   // 2. Water-filling: weighted max-min allocation under per-request caps.
-  // Rates land in `target` (parallel to iteration order) so the current
-  // rates survive for the changed-vs-kept comparison below.
-  std::vector<Request*> all;
-  std::vector<double> target;
-  all.reserve(requests_.size());
-  for (Request& r : requests_) {
-    r.cap_rate = cap_rate_of(*r.slot, capacity_);
-    all.push_back(&r);
+  // Rates land in pass_targets_ (parallel to pass_flows_, arrival order) so
+  // the current rates survive for the changed-vs-kept comparison below.
+  pass_flows_.clear();
+  pass_caps_.clear();
+  pass_weights_.clear();
+  for (auto it = requests_.begin(); it != requests_.end(); ++it) {
+    it->cap_rate = cap_rate_of(*it->slot, capacity_);
+    pass_flows_.push_back(it);
+    pass_caps_.push_back(it->cap_rate);
+    pass_weights_.push_back(it->slot->weight);
   }
-  target.assign(all.size(), 0.0);
-  std::vector<std::size_t> unfixed(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) unfixed[i] = i;
-  double budget = capacity_;
-  while (!unfixed.empty() && budget > 0.0) {
-    double weight_sum = 0.0;
-    // avf-srclint: allow(src.float-accum unfixed is index-ordered, so the summation order is pinned and byte-identical across runs)
-    for (std::size_t i : unfixed) weight_sum += all[i]->slot->weight;
-    bool fixed_any = false;
-    for (auto it = unfixed.begin(); it != unfixed.end();) {
-      Request* r = all[*it];
-      double cap_rate = r->cap_rate;
-      double fair = budget * r->slot->weight / weight_sum;
-      if (fair >= cap_rate) {
-        target[*it] = cap_rate;
-        // avf-srclint: allow(src.float-accum water-filling visits flows in arrival order; the subtraction order is pinned)
-        budget -= cap_rate;
-        it = unfixed.erase(it);
-        fixed_any = true;
-      } else {
-        ++it;
-      }
-    }
-    if (!fixed_any) {
-      // Nobody hits a cap: split the remaining budget by weight.
-      for (std::size_t i : unfixed) {
-        target[i] = budget * all[i]->slot->weight / weight_sum;
-      }
-      break;
-    }
-    budget = std::max(budget, 0.0);
-  }
+  pass_targets_.resize(pass_flows_.size());
+  water_fill(pass_caps_, pass_weights_, capacity_, pass_targets_,
+             pass_unfixed_);
 
   // 3. Apply: only flows whose rate actually changed get their completion
   // event rescheduled; bit-identical rates keep their pending event (its
@@ -250,23 +226,59 @@ void FluidResource::full_reallocate() {
   // capped multi-flow workloads cheap).
   cap_rate_sum_ = 0.0;
   all_at_cap_ = true;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    Request& r = *all[i];
-    // avf-srclint: allow(src.float-accum all is arrival-ordered, so the cap-rate sum order is pinned)
+  for (std::size_t i = 0; i < pass_flows_.size(); ++i) {
+    RequestIt it = pass_flows_[i];
+    Request& r = *it;
+    double target = pass_targets_[i];
+    // avf-srclint: allow(src.float-accum pass_flows_ is arrival-ordered, so the cap-rate sum order is pinned)
     cap_rate_sum_ += r.cap_rate;
-    if (target[i] != r.cap_rate) all_at_cap_ = false;
-    if (target[i] == r.rate && (r.rate <= 0.0 || r.completion.pending())) {
+    if (target != r.cap_rate) all_at_cap_ = false;
+    if (target == r.rate && (r.rate <= 0.0 || r.completion.pending())) {
       if (r.rate > 0.0) ++rate_keeps_;
       continue;
     }
-    r.rate = target[i];
+    r.rate = target;
     ++rate_rescales_;
     if (r.rate > 0.0) {
-      schedule_completion(std::next(requests_.begin(),
-                                    static_cast<std::ptrdiff_t>(i)));
+      schedule_completion(it);
     } else {
       r.completion.cancel();
     }
+  }
+}
+
+void water_fill(std::span<const double> cap_rate,
+                std::span<const double> weight, double capacity,
+                std::span<double> rate, std::vector<std::size_t>& unfixed) {
+  std::fill(rate.begin(), rate.end(), 0.0);
+  unfixed.resize(cap_rate.size());
+  for (std::size_t i = 0; i < unfixed.size(); ++i) unfixed[i] = i;
+  double budget = capacity;
+  while (!unfixed.empty() && budget > 0.0) {
+    double weight_sum = 0.0;
+    // avf-srclint: allow(src.float-accum unfixed is index-ordered, so the summation order is pinned and byte-identical across runs)
+    for (std::size_t i : unfixed) weight_sum += weight[i];
+    // Fix every flow whose fair share reaches its cap, compacting the
+    // survivors in place: flows are visited (and the budget drawn down) in
+    // index order, so every rate is the same double a per-flow erase gave.
+    std::size_t kept = 0;
+    for (std::size_t i : unfixed) {
+      double fair = budget * weight[i] / weight_sum;
+      if (fair >= cap_rate[i]) {
+        rate[i] = cap_rate[i];
+        // avf-srclint: allow(src.float-accum water-filling visits flows in arrival order; the subtraction order is pinned)
+        budget -= cap_rate[i];
+      } else {
+        unfixed[kept++] = i;
+      }
+    }
+    if (kept == unfixed.size()) {
+      // Nobody hits a cap: split the remaining budget by weight.
+      for (std::size_t i : unfixed) rate[i] = budget * weight[i] / weight_sum;
+      break;
+    }
+    unfixed.resize(kept);
+    budget = std::max(budget, 0.0);
   }
 }
 
@@ -384,12 +396,15 @@ void FluidResource::sparse_finalize() {
     mu_ = mu;
     ++level_updates_;
   }
-  fair_head_.cancel();
-  if (fair_count_ == 0) return;
   double speed = mu_ * capacity_;
-  if (speed <= 0.0) return;  // capped flows saturate the capacity: starved
+  // No fair flow, or capped flows saturate the capacity (starved).
+  if (fair_count_ == 0 || speed <= 0.0) {
+    fair_head_.cancel();
+    return;
+  }
   double vf = fair_by_finish_.begin()->first;
   double delay = std::max(0.0, (vf - vtime_) / speed);
+  if (sim_.reschedule(fair_head_, delay)) return;
   fair_head_ = sim_.schedule(delay, [this] { on_fair_head(); });
 }
 

@@ -13,9 +13,13 @@
 //
 //  - Below `sparse_threshold()` concurrent flows it runs the dense engine:
 //    incremental O(1) fast paths for the under-loaded capped regime and an
-//    explicit water-filling pass otherwise, bit-for-bit identical to the
-//    original implementation (existing traces at <= 128 clients are
-//    preserved byte-for-byte).
+//    explicit water-filling pass (water_fill()) otherwise, bit-for-bit
+//    identical to the original implementation (existing traces at <= 128
+//    clients are preserved byte-for-byte).  A pass is O(N) per
+//    water-filling round: flows fixed at their cap are compacted out of
+//    the unfixed set in place, in the same visiting order, and each flow
+//    whose rate changed has its pending completion event moved with
+//    Simulator::reschedule() rather than cancelled and rebuilt.
 //
 //  - At or above the threshold it migrates to the sparse engine, which keeps
 //    the water-filling solution *incrementally*.  Flows are bucketed by
@@ -47,6 +51,7 @@
 #include <cstdint>
 #include <list>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -56,6 +61,16 @@
 #include "sim/types.hpp"
 
 namespace avf::sim {
+
+/// The dense engine's water-filling pass: weighted max-min rates for flows
+/// with per-flow rate caps `cap_rate` and weights `weight` sharing
+/// `capacity`, written to `rate` (all three parallel).  Each round fixes
+/// every flow whose fair share of the remaining budget reaches its cap, in
+/// index order, and compacts the rest in place; a round that fixes nobody
+/// splits the budget by weight.  O(N) per round.  `unfixed` is scratch.
+void water_fill(std::span<const double> cap_rate,
+                std::span<const double> weight, double capacity,
+                std::span<double> rate, std::vector<std::size_t>& unfixed);
 
 class FluidResource {
  public:
@@ -225,7 +240,7 @@ class FluidResource {
   /// would not advance the clock (then the event would respin forever).
   bool finished(const Request& r, SimTime now) const;
   /// (Re)schedule the request's own completion event from its current
-  /// remaining/rate; cancels any previous event.
+  /// remaining/rate; a pending event is moved, keeping its callback.
   void schedule_completion(RequestIt it);
   /// A request's own completion event fired (capped flows, both modes).
   void on_completion(RequestIt it);
@@ -280,6 +295,13 @@ class FluidResource {
   // -- dense-engine state ---------------------------------------------------
   /// Sum of the active requests' cap_rate values, maintained incrementally.
   double cap_rate_sum_ = 0.0;
+  /// full_reallocate() scratch, kept across passes so a pass allocates
+  /// nothing once the population has peaked.
+  std::vector<RequestIt> pass_flows_;
+  std::vector<double> pass_caps_;
+  std::vector<double> pass_weights_;
+  std::vector<double> pass_targets_;
+  std::vector<std::size_t> pass_unfixed_;
   /// True iff every active flow's rate equals its cap rate (the under-loaded
   /// guarantee regime): arrivals and departures cannot change anyone else.
   bool all_at_cap_ = true;

@@ -104,16 +104,53 @@ EventHandle Simulator::schedule_at(SimTime when, std::function<void()> fn) {
   rec->seq = next_seq_++;
   rec->sim = this;
   if (when > max_event_time_) max_event_time_ = when;
-  // New events carry a larger seq than any horizon pivot, so the key
+  EventHandle handle(rec);
+  enqueue(std::move(rec));
+  return handle;
+}
+
+void Simulator::enqueue(std::shared_ptr<EventHandle::Record> rec) {
+  // New keys carry a larger seq than any horizon pivot, so the key
   // comparison against the horizon reduces to the time alone.
-  if (!far_is_everything_ && when < horizon_time_) {
-    near_.push_back(NearEntry{when, rec->seq, rec});
+  if (!far_is_everything_ && rec->time < horizon_time_) {
+    SimTime t = rec->time;
+    std::uint64_t s = rec->seq;
+    near_.push_back(NearEntry{t, s, std::move(rec)});
     std::push_heap(near_.begin(), near_.end(), FiresAfter{});
   } else {
     rec->far_index = static_cast<std::int64_t>(far_.size());
-    far_.push_back(rec);
+    far_.push_back(std::move(rec));
   }
-  return EventHandle(rec);
+}
+
+bool Simulator::reschedule(EventHandle& handle, SimTime delay) {
+  auto rec = handle.rec_.lock();
+  if (!rec || rec->cancelled || rec->fired) return false;
+  if (delay < 0.0) {
+    throw std::invalid_argument(
+        avf::util::format("negative event delay: {}", delay));
+  }
+  SimTime when = now_ + delay;
+  if (rec->far_index >= 0) {
+    // Re-key in place.  The far tier is unordered, so the record's slot is
+    // as good as the back slot cancel() + schedule() would have used.
+    rec->time = when;
+    rec->seq = next_seq_++;
+    if (when > max_event_time_) max_event_time_ = when;
+    if (!far_is_everything_ && when < horizon_time_) {
+      remove_far(*rec);
+      enqueue(std::move(rec));
+    }
+    return true;
+  }
+  // In the near heap its slot is unknown: leave a tombstone (the cancel()
+  // path) and schedule the same callback afresh.
+  std::function<void()> fn = std::move(rec->fn);
+  rec->fn = nullptr;
+  rec->cancelled = true;
+  on_cancelled(*rec);
+  handle = schedule_at(when, std::move(fn));
+  return true;
 }
 
 void Simulator::prune_near_top() {

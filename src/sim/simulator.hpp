@@ -17,6 +17,13 @@
 // longer grow the queue without bound (the previous single priority_queue
 // kept every tombstone until its timestamp drained).  The (time, seq) fire
 // order is exactly the total order the old queue produced.
+//
+// reschedule() moves a pending event without rebuilding it: it draws the
+// same fresh seq a cancel() + schedule() pair would, and a far-tier record
+// is simply re-keyed where it sits (no allocation, no new callback).  Fire
+// order depends only on the unique (time, seq) keys and the far tier's size
+// moves exactly as under cancel() + schedule(), so the two are
+// indistinguishable to everything but the allocator.
 #pragma once
 
 #include <coroutine>
@@ -78,6 +85,16 @@ class Simulator {
   /// Schedule at an absolute time >= now().
   EventHandle schedule_at(SimTime when, std::function<void()> fn);
 
+  /// Move the pending event behind `handle` to now() + `delay` (>= 0),
+  /// keeping its callback.  Equivalent to cancel() followed by schedule()
+  /// with the same callback: the event takes a fresh seq, so it fires after
+  /// every event already queued at its new time.  A far-tier record is
+  /// re-keyed in place (and joins the near heap if the new time falls below
+  /// the horizon); a near-heap record leaves a tombstone and `handle` is
+  /// repointed at a new record.  Returns false, changing nothing, when
+  /// `handle` is default-constructed, cancelled or already fired.
+  bool reschedule(EventHandle& handle, SimTime delay);
+
   /// Launch a detached process coroutine; its body starts at the current
   /// time, after already-queued events at this timestamp.
   void spawn(Task<> task);
@@ -127,7 +144,10 @@ class Simulator {
   std::size_t queue_entries() const { return near_.size() + far_.size(); }
   /// Near-heap tombstone reclamation passes run so far.
   std::uint64_t compactions() const { return compactions_; }
-  /// Far-tier cancellations removed in O(1) without leaving a tombstone.
+  /// Far-tier records swap-removed in O(1) without leaving a tombstone:
+  /// every cancel() of a far event, plus every reschedule() that pulls a
+  /// far event below the horizon into the near heap.  A reschedule() that
+  /// stays in the far tier re-keys the record in place and is not counted.
   std::uint64_t far_removals() const { return far_removals_; }
 
   /// Allocate a fresh consumer identity for resource accounting.
@@ -158,6 +178,8 @@ class Simulator {
   void prune_near_top();
   /// Make the next live event the near-heap top; false when drained.
   bool ensure_next_live();
+  /// Insert a keyed record into the tier its time belongs to.
+  void enqueue(std::shared_ptr<EventHandle::Record> rec);
   /// Split the nearest chunk of the far tier into the (empty) near heap
   /// and advance the horizon to the largest migrated key.
   void migrate_from_far();

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace avf::sim {
 namespace {
@@ -325,6 +329,164 @@ TEST(FluidResource, OversubscribedFlowsTakeFullPass) {
   EXPECT_DOUBLE_EQ(done[0], 2.0);
   EXPECT_DOUBLE_EQ(done[1], 2.0);
   EXPECT_GE(res.full_reallocs(), 1u);
+}
+
+// -- dense-pass oracles -----------------------------------------------------
+
+/// Reference implementation: the water-filling loop exactly as the dense
+/// pass ran it before the in-place compaction, erasing every flow fixed at
+/// its cap from the unfixed index vector (an O(N) shift per erase).
+std::vector<double> water_fill_reference(const std::vector<double>& cap_rate,
+                                         const std::vector<double>& weight,
+                                         double capacity) {
+  std::vector<double> target(cap_rate.size(), 0.0);
+  std::vector<std::size_t> unfixed(cap_rate.size());
+  for (std::size_t i = 0; i < unfixed.size(); ++i) unfixed[i] = i;
+  double budget = capacity;
+  while (!unfixed.empty() && budget > 0.0) {
+    double weight_sum = 0.0;
+    for (std::size_t i : unfixed) weight_sum += weight[i];
+    bool fixed_any = false;
+    for (auto it = unfixed.begin(); it != unfixed.end();) {
+      double fair = budget * weight[*it] / weight_sum;
+      if (fair >= cap_rate[*it]) {
+        target[*it] = cap_rate[*it];
+        budget -= cap_rate[*it];
+        it = unfixed.erase(it);
+        fixed_any = true;
+      } else {
+        ++it;
+      }
+    }
+    if (!fixed_any) {
+      for (std::size_t i : unfixed) {
+        target[i] = budget * weight[i] / weight_sum;
+      }
+      break;
+    }
+    budget = std::max(budget, 0.0);
+  }
+  return target;
+}
+
+TEST(FluidWaterFill, MatchesEraseBasedReferenceBitForBit) {
+  std::vector<std::size_t> scratch;  // reused across calls, as in the pass
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::SplitMix64 rng(seed);
+    std::size_t n = 1 + rng.next_below(400);
+    double capacity = rng.uniform(1e3, 1e9);
+    double fair = 1.0 / static_cast<double>(n);
+    // Cap mix: some seeds keep every cap below the fair share (under-loaded),
+    // some every cap above it (pure weighted split), most mix both, with
+    // exact-fair, zero and uncapped flows sprinkled in.
+    std::uint64_t regime = rng.next_below(4);
+    std::vector<double> cap_rate(n), weight(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      weight[i] = 1.0 + static_cast<double>(rng.next_below(3));
+      double ncap;
+      if (regime == 0) {
+        ncap = fair * rng.uniform(0.05, 1.0);
+      } else if (regime == 1) {
+        ncap = fair * rng.uniform(1.0, 8.0);
+      } else {
+        switch (rng.next_below(8)) {
+          case 0: ncap = 0.0; break;
+          case 1: ncap = 1.0; break;
+          case 2: ncap = fair; break;
+          case 3:
+          case 4: ncap = fair * rng.uniform(0.05, 1.0); break;
+          default: ncap = fair * rng.uniform(1.0, 8.0); break;
+        }
+      }
+      cap_rate[i] = ncap * capacity;
+    }
+    std::vector<double> want = water_fill_reference(cap_rate, weight,
+                                                    capacity);
+    std::vector<double> got(n, -1.0);
+    water_fill(cap_rate, weight, capacity, got, scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "seed " << seed << " flow " << i << " of " << n << ": got "
+          << got[i] << " want " << want[i];
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of doubles and counters.
+struct RunDigest {
+  std::uint64_t h = util::kFnv1a64Offset;
+  void add(std::uint64_t v) { h = util::fnv1a64(h, &v, sizeof(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// A 256-flow oversubscribed dense run: caps between 0.5x and 4x the fair
+/// share (they sum to about twice the capacity), staggered arrivals, one to
+/// four requests per flow, cap mutations signalled through slot_changed()
+/// (some on idle slots) and two capacity changes.  Digests every completion
+/// in completion order, served() per owner mid-run and at the end, and the
+/// dense pass counters.
+std::uint64_t dense_golden_digest() {
+  constexpr int kFlows = 256;
+  Simulator sim;
+  FluidResource cpu(sim, "cpu", 1e9);
+  util::SplitMix64 rng(0x5eed);
+  const double fair = 1.0 / kFlows;
+  std::vector<ShareSlotPtr> slots;
+  std::vector<OwnerId> owners;
+  std::vector<double> starts;
+  std::vector<std::vector<double>> amounts(kFlows);
+  for (int i = 0; i < kFlows; ++i) {
+    slots.push_back(make_share_slot(fair * rng.uniform(0.5, 4.0),
+                                    1.0 + static_cast<double>(
+                                              rng.next_below(3))));
+    owners.push_back(sim.new_owner_id());
+    starts.push_back(rng.uniform(0.0, 2.0));
+    std::size_t requests = 1 + rng.next_below(4);
+    for (std::size_t k = 0; k < requests; ++k) {
+      amounts[static_cast<std::size_t>(i)].push_back(rng.uniform(1e6, 2e7));
+    }
+  }
+  RunDigest d;
+  auto flow = [&](std::size_t i) -> Task<> {
+    co_await sim.delay(starts[i]);
+    for (double amount : amounts[i]) {
+      co_await cpu.consume(amount, slots[i], owners[i]);
+      d.add(static_cast<std::uint64_t>(i));
+      d.add(sim.now());
+    }
+  };
+  for (std::size_t i = 0; i < kFlows; ++i) sim.spawn(flow(i));
+  auto control = [&]() -> Task<> {
+    for (int step = 1; step <= 16; ++step) {
+      co_await sim.delay(0.25);
+      for (int m = 0; m < 8; ++m) {
+        const ShareSlotPtr& slot = slots[rng.next_below(kFlows)];
+        slot->cap = fair * rng.uniform(0.5, 4.0);
+        cpu.slot_changed(slot);
+      }
+      if (step == 6) cpu.set_capacity(6e8);
+      if (step == 12) cpu.set_capacity(1.2e9);
+      for (std::size_t i = 0; i < kFlows; i += 37) d.add(cpu.served(owners[i]));
+    }
+  };
+  sim.spawn(control());
+  sim.run();
+  for (OwnerId owner : owners) d.add(cpu.served(owner));
+  d.add(cpu.total_served());
+  d.add(cpu.full_reallocs());
+  d.add(cpu.rate_rescales());
+  d.add(cpu.rate_keeps());
+  EXPECT_FALSE(cpu.sparse_active());
+  EXPECT_GT(cpu.full_reallocs(), 500u);  // the dense pass did the work
+  return d.h;
+}
+
+// Recorded from the erase-based dense pass with cancel() + schedule()
+// completion events.  A mismatch means a float operation or an event's
+// (time, seq) order moved: every simulated response time would move too.
+TEST(FluidResource, DenseGoldenRunDigestIsUnchanged) {
+  EXPECT_EQ(dense_golden_digest(), 0x24b16c0352f37ce0ull);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace avf::sim {
 namespace {
@@ -195,9 +199,9 @@ TEST(Simulator, AbandonedProcessesDestroyedInSpawnOrder) {
   };
   {
     Simulator sim;
-    auto forever = [](Simulator& s, std::vector<int>& order,
+    auto forever = [](Simulator& s, std::vector<int>& log,
                       int id) -> Task<> {
-      Tracer t{&order, id};
+      Tracer t{&log, id};
       co_await s.delay(1e9);  // never reached before teardown
     };
     for (int i = 0; i < 16; ++i) sim.spawn(forever(sim, order, i));
@@ -272,6 +276,210 @@ TEST(Simulator, CompletedSpawnedProcessesAreNotDoubleDestroyed) {
   sim.run();
   EXPECT_EQ(runs, 4);  // frames self-destroyed at final suspend; the
                        // destructor must find nothing left to reclaim
+}
+
+// -- reschedule() -----------------------------------------------------------
+
+TEST(Simulator, RescheduleKeepsEqualTimeFifo) {
+  Simulator sim;
+  std::vector<int> order;
+  auto push = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  EventHandle a = sim.schedule(1.0, push(0));
+  sim.schedule(1.0, push(1));
+  EventHandle c = sim.schedule(2.0, push(2));
+  sim.schedule(1.0, push(3));
+  // A moved event takes a fresh seq, exactly like cancel() + schedule():
+  // it fires after everything already queued at its new time, even when
+  // the time did not change.
+  EXPECT_TRUE(sim.reschedule(a, 1.0));
+  EXPECT_TRUE(sim.reschedule(c, 1.0));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2}));
+  EXPECT_EQ(sim.now(), 2.0);  // the drained clock still covers the old time
+}
+
+TEST(Simulator, RescheduleMovesAcrossTheHorizon) {
+  Simulator sim;
+  std::vector<double> fired;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 1000; ++i) {
+    h.push_back(sim.schedule(1.0 + i, [&] { fired.push_back(sim.now()); }));
+  }
+  // Fires t=1 after splitting the nearest quarter (t <= 250) into the near
+  // heap; t=251..1000 stay in the far tier.
+  ASSERT_TRUE(sim.step());
+  const std::uint64_t removals = sim.far_removals();
+  const std::size_t entries = sim.queue_entries();
+
+  // Far -> far: the record is re-keyed where it sits.
+  EXPECT_TRUE(sim.reschedule(h[900], 899.5));  // 901 -> 900.5
+  EXPECT_EQ(sim.far_removals(), removals);
+  EXPECT_EQ(sim.queue_entries(), entries);
+  // Far -> near: pulled below the horizon, swap-removed from the far tier.
+  EXPECT_TRUE(sim.reschedule(h[800], 9.25));  // 801 -> 10.25
+  EXPECT_EQ(sim.far_removals(), removals + 1);
+  EXPECT_EQ(sim.queue_entries(), entries);
+  // Near -> far and near -> near: a tombstone plus a new record.
+  EXPECT_TRUE(sim.reschedule(h[5], 1999.0));  // 6 -> 2000
+  EXPECT_TRUE(sim.reschedule(h[10], 2.5));    // 11 -> 3.5
+  EXPECT_EQ(sim.queue_entries(), entries + 2);
+  EXPECT_EQ(sim.queued_events(), 999u);
+  EXPECT_TRUE(h[5].pending());
+  EXPECT_TRUE(h[10].pending());
+
+  sim.run();
+  std::vector<double> expected;
+  for (int i = 0; i < 1000; ++i) {
+    if (i != 5 && i != 10 && i != 800 && i != 900) expected.push_back(1.0 + i);
+  }
+  for (double t : {3.5, 10.25, 900.5, 2000.0}) expected.push_back(t);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.now(), 2000.0);
+  EXPECT_FALSE(h[5].pending());
+}
+
+TEST(Simulator, RescheduledHandleStillCancels) {
+  Simulator sim;
+  int fired = 0;
+  std::vector<EventHandle> h;
+  for (int i = 0; i < 200; ++i) {
+    h.push_back(sim.schedule(1.0 + i, [&fired] { ++fired; }));
+  }
+  ASSERT_TRUE(sim.step());  // t=1 fires; t <= 64 sit in the near heap
+  EXPECT_TRUE(sim.reschedule(h[3], 500.0));  // near record: handle repointed
+  EXPECT_TRUE(sim.reschedule(h[150], 0.5));  // far record: moves near
+  EXPECT_TRUE(sim.reschedule(h[199], 300.0));  // far record: stays far
+  h[3].cancel();
+  h[150].cancel();
+  h[199].cancel();
+  EXPECT_FALSE(h[3].pending());
+  EXPECT_EQ(sim.queued_events(), 196u);
+  sim.run();
+  EXPECT_EQ(fired, 197);
+}
+
+TEST(Simulator, RescheduleRejectsFiredCancelledAndDefaultHandles) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle none;
+  EXPECT_FALSE(sim.reschedule(none, 1.0));
+
+  EventHandle gone = sim.schedule(1.0, [&order] { order.push_back(-1); });
+  gone.cancel();
+  EXPECT_FALSE(sim.reschedule(gone, 0.5));
+  EXPECT_FALSE(gone.pending());
+
+  EventHandle self;
+  bool moved_self = true;
+  self = sim.schedule(0.5, [&] {
+    order.push_back(0);
+    moved_self = sim.reschedule(self, 1.0);  // already firing
+  });
+  EventHandle done = sim.schedule(0.25, [&order] { order.push_back(1); });
+  sim.run();
+  EXPECT_FALSE(moved_self);
+  EXPECT_FALSE(sim.reschedule(done, 1.0));
+  EXPECT_EQ(sim.queued_events(), 0u);
+  EXPECT_EQ(sim.queue_entries(), 0u);
+  sim.run();  // nothing was revived
+  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.now(), 1.0);
+
+  // A negative delay throws and leaves the event where it was.
+  EventHandle later = sim.schedule(2.0, [&order] { order.push_back(2); });
+  EXPECT_THROW(sim.reschedule(later, -1.0), std::invalid_argument);
+  EXPECT_TRUE(later.pending());
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(sim.now(), 3.0);
+}
+
+/// One simulator driven by a seeded script: every firing moves a few
+/// events (pending, fired or cancelled ones alike) to quantized delays —
+/// equal-time ties are common, so seq order is exercised — and sometimes
+/// cancels one.  `in_place` moves with reschedule(); otherwise with
+/// cancel() + schedule(), as the fluid resources did before reschedule().
+class MoveScript {
+ public:
+  MoveScript(std::uint64_t seed, bool in_place)
+      : rng_(seed), in_place_(in_place) {
+    for (int id = 0; id < kEvents; ++id) {
+      handles_.push_back(sim_.schedule(draw_delay(), callback(id)));
+    }
+  }
+
+  Simulator& sim() { return sim_; }
+  const std::vector<std::pair<int, double>>& log() const { return log_; }
+
+ private:
+  static constexpr int kEvents = 600;
+  static constexpr std::size_t kMaxFires = 20000;
+
+  double draw_delay() {
+    // Mostly near-term, a quarter far out: both tiers see moves.
+    double far = rng_.next_below(4) == 0 ? 40.0 : 0.0;
+    return far + static_cast<double>(rng_.next_below(64)) * 0.125;
+  }
+
+  std::function<void()> callback(int id) {
+    return [this, id] { on_fire(id); };
+  }
+
+  void move(int id, double delay) {
+    EventHandle& h = handles_[static_cast<std::size_t>(id)];
+    if (in_place_) {
+      if (!sim_.reschedule(h, delay)) h = sim_.schedule(delay, callback(id));
+    } else {
+      h.cancel();
+      h = sim_.schedule(delay, callback(id));
+    }
+  }
+
+  void on_fire(int id) {
+    log_.emplace_back(id, sim_.now());
+    if (log_.size() >= kMaxFires) return;  // let the queue drain
+    for (int k = 0; k < 2; ++k) {
+      move(static_cast<int>(rng_.next_below(kEvents)), draw_delay());
+    }
+    if (rng_.next_below(4) == 0) {
+      handles_[rng_.next_below(kEvents)].cancel();
+    }
+  }
+
+  Simulator sim_;
+  util::SplitMix64 rng_;
+  bool in_place_;
+  std::vector<EventHandle> handles_;
+  std::vector<std::pair<int, double>> log_;
+};
+
+TEST(Simulator, RescheduleMatchesCancelPlusSchedule) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    MoveScript moved(seed, true);
+    MoveScript rebuilt(seed, false);
+    for (double t = 0.5; t < 200.0; t += 0.5) {
+      moved.sim().run_until(t);
+      rebuilt.sim().run_until(t);
+      ASSERT_EQ(moved.sim().queued_events(), rebuilt.sim().queued_events())
+          << "t=" << t;
+      ASSERT_EQ(moved.sim().compactions(), rebuilt.sim().compactions())
+          << "t=" << t;
+    }
+    moved.sim().run();
+    rebuilt.sim().run();
+    EXPECT_EQ(moved.log(), rebuilt.log());
+    EXPECT_EQ(moved.sim().events_processed(),
+              rebuilt.sim().events_processed());
+    EXPECT_EQ(moved.sim().compactions(), rebuilt.sim().compactions());
+    EXPECT_EQ(moved.sim().queued_events(), 0u);
+    EXPECT_EQ(moved.sim().now(), rebuilt.sim().now());
+    EXPECT_GT(moved.sim().compactions(), 0u);
+    // In-place moves inside the far tier are not removals.
+    EXPECT_LT(moved.sim().far_removals(), rebuilt.sim().far_removals());
+  }
 }
 
 }  // namespace
