@@ -9,8 +9,8 @@
 //   cached   : one shared adapt::DecisionCache across all sessions plus
 //              change-driven ticks.
 //
-// Both lanes run with exact predictions, so their decision traces are
-// provably byte-identical; the benchmark *checks* that (decision
+// Predictions are exact (PerfDatabase::predict), so both lanes' decision
+// traces are provably byte-identical; the benchmark *checks* that (decision
 // fingerprints must match between lanes and across a repeated cached run)
 // and then gates on the speedup: at the largest scale the cached lane must
 // be at least AVF_FLEET_MIN_SPEEDUP (default 5, env-overridable) times

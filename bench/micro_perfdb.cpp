@@ -1,11 +1,10 @@
 // Micro-benchmarks: performance-database insert and prediction cost (the
 // scheduler consults the database on every adaptation check).
 //
-// The prediction tiers under test (see src/perfdb/database.hpp):
+// The prediction paths under test (see src/perfdb/database.hpp):
 //   predict_reference — seed implementation, per-call std::set grid rebuild
-//   predict_uncached  — GridIndex fast path (binary-search bracketing +
+//   predict           — GridIndex fast path (binary-search bracketing +
 //                       dense-cell corner lookup)
-//   predict           — memoizing PredictionCache over the indexed path
 // The acceptance gate for the fast path is >= 5x over the reference on
 // repeated predictions against a 64-config x 256-point database.
 #include <benchmark/benchmark.h>
@@ -81,15 +80,15 @@ void BM_PredictReference(benchmark::State& state) {
 BENCHMARK(BM_PredictReference);
 
 void BM_PredictIndexed(benchmark::State& state) {
-  // GridIndex fast path, cache bypassed: the point is perturbed per
-  // iteration so this measures bracketing + corner lookup, not memoization.
+  // GridIndex fast path, the point perturbed per iteration like the
+  // reference case above.
   PerfDatabase db = build_db(kLargeConfigs, kLargeGrid);
   ConfigPoint config;
   config.set("mode", 7);
   double x = 0.0;
   for (auto _ : state) {
-    auto q = db.predict_uncached(config, {0.37 + x * 1e-9, 275e3},
-                                 perfdb::Lookup::kInterpolate);
+    auto q = db.predict(config, {0.37 + x * 1e-9, 275e3},
+                        perfdb::Lookup::kInterpolate);
     x += 1.0;
     benchmark::DoNotOptimize(q->get("transmit_time"));
   }
@@ -97,32 +96,12 @@ void BM_PredictIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictIndexed);
 
-void BM_PredictCached(benchmark::State& state) {
-  // Repeated decision under stable resources: every iteration after the
-  // first hits the prediction cache.
-  PerfDatabase db = build_db(kLargeConfigs, kLargeGrid);
-  ConfigPoint config;
-  config.set("mode", 7);
-  for (auto _ : state) {
-    auto q = db.predict(config, {0.37, 275e3}, perfdb::Lookup::kInterpolate);
-    benchmark::DoNotOptimize(q->get("transmit_time"));
-  }
-  state.SetItemsProcessed(state.iterations());
-  auto stats = db.prediction_stats();
-  state.counters["hit_rate"] =
-      static_cast<double>(stats.cache_hits) /
-      static_cast<double>(
-          std::max<std::size_t>(1, stats.cache_hits + stats.cache_misses));
-}
-BENCHMARK(BM_PredictCached);
-
 void BM_PredictNearest(benchmark::State& state) {
   PerfDatabase db = build_db(kLargeConfigs, kLargeGrid);
   ConfigPoint config;
   config.set("mode", 7);
   for (auto _ : state) {
-    auto q = db.predict_uncached(config, {0.37, 275e3},
-                                 perfdb::Lookup::kNearest);
+    auto q = db.predict(config, {0.37, 275e3}, perfdb::Lookup::kNearest);
     benchmark::DoNotOptimize(q->get("transmit_time"));
   }
   state.SetItemsProcessed(state.iterations());
@@ -154,23 +133,6 @@ void BM_FullScanIndexed(benchmark::State& state) {
   for (auto _ : state) {
     double best = 1e300;
     for (const ConfigPoint& c : configs) {
-      auto q = db.predict_uncached(c, {0.37, 275e3});
-      best = std::min(best, q->get("transmit_time"));
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(state.iterations() * kLargeConfigs);
-}
-BENCHMARK(BM_FullScanIndexed);
-
-void BM_FullScanCached(benchmark::State& state) {
-  // Repeated decision with stable resources: the entire scan is served
-  // from the prediction cache after the first iteration.
-  PerfDatabase db = build_db(kLargeConfigs, kLargeGrid);
-  std::vector<ConfigPoint> configs = db.configs();
-  for (auto _ : state) {
-    double best = 1e300;
-    for (const ConfigPoint& c : configs) {
       auto q = db.predict(c, {0.37, 275e3});
       best = std::min(best, q->get("transmit_time"));
     }
@@ -178,7 +140,7 @@ void BM_FullScanCached(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kLargeConfigs);
 }
-BENCHMARK(BM_FullScanCached);
+BENCHMARK(BM_FullScanIndexed);
 
 }  // namespace
 

@@ -2,12 +2,12 @@
 // database — the per-tick cost of the run-time adaptation loop (paper §6.2).
 //
 // Three regimes:
-//   Select/ColdCache   — every decision at a fresh resource point (the
-//                        prediction cache never hits; measures the indexed
-//                        fast path end to end, incl. candidate pruning).
+//   Select/ColdCache   — every decision at a fresh resource point; measures
+//                        the indexed fast path end to end, incl. candidate
+//                        pruning.
 //   Select/StableRes   — repeated decisions at the same point, the common
-//                        steady-state case; served from the prediction
-//                        cache shared by select and select_with_incumbent.
+//                        steady-state case (same work per decision: no
+//                        prediction is memoized).
 //   SelectWithIncumbent — hysteresis-biased re-decision, which shares the
 //                        candidate vector with the fresh selection instead
 //                        of re-querying the database for the incumbent.
@@ -15,8 +15,10 @@
 
 #include <vector>
 
+#define AVF_BENCH_HAS_GBENCH
 #include "adapt/preferences.hpp"
 #include "adapt/scheduler.hpp"
+#include "bench/common.hpp"
 #include "perfdb/database.hpp"
 
 namespace {
@@ -70,8 +72,8 @@ void BM_SelectColdCache(benchmark::State& state) {
   ResourceScheduler scheduler(db, preferences());
   double x = 0.0;
   for (auto _ : state) {
-    // Shift the point by more than a quantization bucket each iteration so
-    // every decision re-runs the indexed prediction for all 64 configs.
+    // Shift the point each iteration so every decision runs the indexed
+    // prediction for all 64 configs at a fresh point.
     auto decision = scheduler.select({0.30 + x, 275e3 * (1.0 + x)});
     x = x > 0.2 ? 0.0 : x + 1e-4;
     benchmark::DoNotOptimize(decision->predicted);
@@ -88,13 +90,6 @@ void BM_SelectStableResources(benchmark::State& state) {
     benchmark::DoNotOptimize(decision->predicted);
   }
   state.SetItemsProcessed(state.iterations() * kConfigs);
-  auto stats = db.prediction_stats();
-  state.counters["hit_rate"] =
-      static_cast<double>(stats.cache_hits) /
-      static_cast<double>(
-          stats.cache_hits + stats.cache_misses > 0
-              ? stats.cache_hits + stats.cache_misses
-              : 1);
 }
 BENCHMARK(BM_SelectStableResources);
 
@@ -115,4 +110,6 @@ BENCHMARK(BM_SelectWithIncumbent);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return avf::bench::run_benchmarks_with_json(argc, argv, "micro_scheduler");
+}

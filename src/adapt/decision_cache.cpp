@@ -1,11 +1,23 @@
 #include "adapt/decision_cache.hpp"
 
 #include <bit>
+#include <cmath>
 
-#include "perfdb/prediction_cache.hpp"
 #include "util/hash.hpp"
 
 namespace avf::adapt {
+
+std::uint64_t DecisionCache::quantize(double x) {
+  constexpr int kQuantBits = 20;  // ~1e-6 relative buckets
+  if (!std::isfinite(x)) return std::bit_cast<std::uint64_t>(x);
+  if (x == 0.0) return 0;
+  int exp = 0;
+  double mantissa = std::frexp(x, &exp);  // |mantissa| in [0.5, 1)
+  auto q = static_cast<std::int64_t>(
+      std::llround(mantissa * static_cast<double>(1 << kQuantBits)));
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(exp)) << 32) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(q));
+}
 
 std::uint64_t DecisionCache::hash_query(const Query& q) {
   std::uint64_t h = util::kFnv1a64Offset;
@@ -18,7 +30,7 @@ std::uint64_t DecisionCache::hash_query(const Query& q) {
   // Quantized coordinates bucket the hash; exactness comes from the raw-bit
   // verification in keys_match.
   for (double x : *q.resources) {
-    std::uint64_t qx = perfdb::PredictionCache::quantize(x);
+    std::uint64_t qx = quantize(x);
     h = util::fnv1a64(h, &qx, sizeof(qx));
   }
   return h;

@@ -9,22 +9,23 @@
 // the candidate set, every other session reuses the Decision.
 //
 // Correctness model — a hit is *exact*, never approximate:
-//   - Entries are bucketed by the quantized resource point (the same
-//     ~2^-20-relative quantization the PredictionCache uses) purely as a
-//     hash key; on hit the entry verifies the raw IEEE-754 bit patterns of
-//     the query point, so a decision computed at a different raw point in
-//     the same bucket is a miss, not a stale answer.
+//   - Entries are bucketed by the quantized resource point (each coordinate
+//     rounded to ~2^-20 relative precision) purely as a hash key; on hit
+//     the entry verifies the raw IEEE-754 bit patterns of the query point,
+//     so a decision computed at a different raw point in the same bucket
+//     is a miss, not a stale answer.
 //   - The key includes the database's process-unique uid and the attached
 //     scheduler's selector fingerprint (preferences + options), so
 //     schedulers with different specs or hysteresis never share entries.
 //   - Entries record the database mutation epoch at store time; a lookup
 //     under a newer epoch counts as an invalidation and misses.
-//   - Schedulers with a cache attached force exact (uncached) predictions,
-//     making the memoized function pure in (db contents, selector, inputs).
+//   - PerfDatabase::predict is exact for every query point, so the memoized
+//     function is pure in (db contents, selector, inputs).
 //
-// The table is bounded; when full it is wiped (the PredictionCache's cheap,
-// rare, self-correcting eviction policy).  All state is guarded by a
-// util::Mutex so controller fleets on worker threads can share one cache.
+// The table is bounded; when full it is wiped (cheap, rare, and
+// self-correcting: the hot queries repopulate it immediately).  All state
+// is guarded by a util::Mutex so controller fleets on worker threads can
+// share one cache.
 #pragma once
 
 #include <cstddef>
@@ -110,6 +111,10 @@ class DecisionCache {
     util::MutexLock lock(mutex_);
     stats_ = Stats{};
   }
+
+  /// Hash bucket of one resource coordinate: ~2^-20 relative precision
+  /// (exposed for tests).
+  static std::uint64_t quantize(double x);
 
  private:
   struct Entry {

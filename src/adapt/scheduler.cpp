@@ -49,8 +49,6 @@ std::uint64_t fingerprint_selector(const PreferenceList& prefs,
   int lookup = static_cast<int>(opts.lookup);
   h = util::fnv1a64(h, &lookup, sizeof(lookup));
   h = fnv1a_f64(h, opts.switch_hysteresis);
-  unsigned char exact = opts.exact_predictions ? 1 : 0;
-  h = util::fnv1a64(h, &exact, sizeof(exact));
   return h;
 }
 
@@ -75,31 +73,18 @@ ResourceScheduler::ResourceScheduler(const perfdb::PerfDatabase& db,
                                   p.objective_metric);
     }
   }
-  // A memoized decision must be a pure function of (db contents, selector,
-  // inputs); PerfDatabase::predict shares results within a quantization
-  // bucket, so cached schedulers bypass it.
-  if (options_.decision_cache) options_.exact_predictions = true;
   selector_fingerprint_ = fingerprint_selector(preferences_, options_);
 }
 
 const std::vector<ResourceScheduler::Candidate>& ResourceScheduler::evaluate(
     const perfdb::ResourcePoint& resources) const {
   scratch_.clear();
-  if (options_.exact_predictions) {
-    db_.for_each_config([&](const ConfigPoint& config) {
-      auto predicted = db_.predict_uncached(config, resources, options_.lookup);
-      if (predicted) {
-        scratch_.push_back(Candidate{&config, std::move(*predicted)});
-      }
-    });
-  } else {
-    db_.for_each_config([&](const ConfigPoint& config) {
-      auto predicted = db_.predict(config, resources, options_.lookup);
-      if (predicted) {
-        scratch_.push_back(Candidate{&config, std::move(*predicted)});
-      }
-    });
-  }
+  db_.for_each_config([&](const ConfigPoint& config) {
+    auto predicted = db_.predict(config, resources, options_.lookup);
+    if (predicted) {
+      scratch_.push_back(Candidate{&config, std::move(*predicted)});
+    }
+  });
   return scratch_;
 }
 

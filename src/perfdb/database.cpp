@@ -36,7 +36,6 @@ PerfDatabase::PerfDatabase(const PerfDatabase& other)
       by_config_(other.by_config_),
       total_records_(other.total_records_),
       predicted_records_(other.predicted_records_),
-      cache_(other.cache_),
       index_rebuilds_(other.index_rebuilds_.load()) {
   // The copied indexes hold pointers into `other`'s sample nodes; drop
   // them so the copy rebuilds against its own nodes on first query.
@@ -61,7 +60,6 @@ PerfDatabase::PerfDatabase(PerfDatabase&& other) noexcept
       mutation_epoch_(other.mutation_epoch_),
       total_records_(other.total_records_),
       predicted_records_(other.predicted_records_),
-      cache_(std::move(other.cache_)),
       index_rebuilds_(other.index_rebuilds_.load()) {}
 
 PerfDatabase& PerfDatabase::operator=(PerfDatabase&& other) noexcept {
@@ -73,7 +71,6 @@ PerfDatabase& PerfDatabase::operator=(PerfDatabase&& other) noexcept {
     mutation_epoch_ = other.mutation_epoch_;
     total_records_ = other.total_records_;
     predicted_records_ = other.predicted_records_;
-    cache_ = std::move(other.cache_);
     index_rebuilds_.store(other.index_rebuilds_.load());
   }
   return *this;
@@ -110,25 +107,21 @@ PerfDatabase::ConfigData& PerfDatabase::insert_raw(const ConfigPoint& config,
 
 void PerfDatabase::insert(const ConfigPoint& config, const ResourcePoint& at,
                           const QosVector& quality, Provenance provenance) {
-  ConfigData& data = insert_raw(config, at, quality, provenance);
-  cache_.invalidate_config(data.config.key());
+  insert_raw(config, at, quality, provenance);
   ++mutation_epoch_;
 }
 
 void PerfDatabase::insert_batch(const std::vector<PerfRecord>& records) {
-  // One cache epoch bump per touched configuration, not per sample; the
-  // grid index likewise notes staleness per insert but is only rebuilt on
-  // the first query after the batch.
+  // One epoch bump per touched configuration, not per sample; the grid
+  // index notes staleness per insert but is only rebuilt on the first
+  // query after the batch.
   std::set<std::string> touched;
   for (const PerfRecord& r : records) {
     ConfigData& data =
         insert_raw(r.config, r.resources, r.quality, r.provenance);
     touched.insert(data.config.key());
   }
-  for (const std::string& key : touched) {
-    cache_.invalidate_config(key);
-    ++mutation_epoch_;
-  }
+  mutation_epoch_ += touched.size();
 }
 
 std::optional<Provenance> PerfDatabase::provenance(
@@ -205,7 +198,6 @@ void PerfDatabase::erase_config(const ConfigPoint& config) {
   if (it != by_config_.end()) {
     total_records_ -= it->second.samples.size();
     predicted_records_ -= it->second.predicted.size();
-    cache_.invalidate_config(it->first);
     by_config_.erase(it);
     ++mutation_epoch_;
   }
@@ -347,40 +339,18 @@ std::optional<QosVector> PerfDatabase::interpolate_reference(
 // ---------------------------------------------------------------------------
 // Prediction entry points.
 
-std::optional<QosVector> PerfDatabase::predict_impl(const ConfigData& data,
-                                                    const ResourcePoint& at,
-                                                    Lookup mode) const {
-  if (mode == Lookup::kInterpolate) {
-    if (auto result = interpolate(data, at)) return result;
-  }
-  return nearest(data, at);
-}
-
 std::optional<QosVector> PerfDatabase::predict(const ConfigPoint& config,
                                                const ResourcePoint& at,
                                                Lookup mode) const {
   if (at.size() != axes_.size()) {
     throw std::invalid_argument("resource point dimension mismatch");
   }
-  std::string key = config.key();
-  if (const auto* cached = cache_.lookup(key, at, mode)) return *cached;
-  auto it = by_config_.find(key);
-  std::optional<QosVector> result;
-  if (it != by_config_.end() && !it->second.samples.empty()) {
-    result = predict_impl(it->second, at, mode);
-  }
-  cache_.store(key, at, mode, result);
-  return result;
-}
-
-std::optional<QosVector> PerfDatabase::predict_uncached(
-    const ConfigPoint& config, const ResourcePoint& at, Lookup mode) const {
-  if (at.size() != axes_.size()) {
-    throw std::invalid_argument("resource point dimension mismatch");
-  }
   const ConfigData* data = find(config);
   if (data == nullptr || data->samples.empty()) return std::nullopt;
-  return predict_impl(*data, at, mode);
+  if (mode == Lookup::kInterpolate) {
+    if (auto result = interpolate(*data, at)) return result;
+  }
+  return nearest(*data, at);
 }
 
 std::optional<QosVector> PerfDatabase::predict_reference(
@@ -397,13 +367,12 @@ std::optional<QosVector> PerfDatabase::predict_reference(
 }
 
 PerfDatabase::PredictionStats PerfDatabase::prediction_stats() const {
-  const PredictionCache::Stats c = cache_.stats();
-  return PredictionStats{c.hits, c.misses, c.evictions, c.invalidations,
-                         index_rebuilds_};
+  PredictionStats stats;
+  stats.index_rebuilds = index_rebuilds_;
+  return stats;
 }
 
 void PerfDatabase::reset_prediction_stats() {
-  cache_.reset_stats();
   index_rebuilds_ = 0;
 }
 

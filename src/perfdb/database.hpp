@@ -10,12 +10,10 @@
 //                  nearest-neighbor fallback for incomplete cells.
 //
 // Prediction is a hot path: the resource scheduler queries every stored
-// configuration on every adaptation decision (§6.2).  Three tiers serve it:
-//   predict           — memoizing PredictionCache over the indexed path;
-//                       repeated decisions under stable resources are O(1).
-//   predict_uncached  — GridIndex fast path (per-axis binary search +
-//                       dense-cell corner lookup), bit-for-bit identical to
-//                       the reference implementation.
+// configuration on every adaptation decision (§6.2).  Two paths serve it:
+//   predict           — GridIndex fast path (per-axis binary search +
+//                       dense-cell corner lookup), exact for every query
+//                       point and bit-for-bit identical to the reference.
 //   predict_reference — the original per-call std::set rebuild, kept as the
 //                       consistency oracle for tests and benchmarks.
 #pragma once
@@ -31,11 +29,14 @@
 #include <vector>
 
 #include "perfdb/grid_index.hpp"
-#include "perfdb/prediction_cache.hpp"
 #include "tunable/config.hpp"
 #include "tunable/qos.hpp"
 
 namespace avf::perfdb {
+
+/// How predict() answers between samples: nearest stored sample, or
+/// multilinear interpolation with nearest-neighbor fallback.
+enum class Lookup { kNearest, kInterpolate };
 
 /// Where a stored sample came from.  Exhaustive profiling produces only
 /// kMeasured cells; adaptive profiling (ProfilingDriver::profile_adaptive)
@@ -90,9 +91,9 @@ class PerfDatabase {
               Provenance provenance = Provenance::kMeasured);
 
   /// Insert a batch of samples in order.  Equivalent to calling insert()
-  /// per record, but each touched configuration is invalidated (prediction
-  /// cache epoch + grid index) once per batch instead of once per sample —
-  /// the profiling driver commits whole sweeps through this path.
+  /// per record, but the mutation epoch is bumped once per touched
+  /// configuration instead of once per sample — the profiling driver
+  /// commits whole sweeps through this path.
   void insert_batch(const std::vector<PerfRecord>& records);
 
   std::size_t size() const { return total_records_; }
@@ -117,15 +118,8 @@ class PerfDatabase {
                                   const std::string& axis) const;
 
   /// Predicted quality for `config` at `at`; nullopt when the config has no
-  /// records at all.  Served through the prediction cache (see header
-  /// comment); results for points within the same quantization bucket may
-  /// be shared.
+  /// records at all.  Indexed fast path, exact for every query point.
   std::optional<tunable::QosVector> predict(
-      const tunable::ConfigPoint& config, const ResourcePoint& at,
-      Lookup mode = Lookup::kInterpolate) const;
-
-  /// Indexed fast path without the cache: exact for every query point.
-  std::optional<tunable::QosVector> predict_uncached(
       const tunable::ConfigPoint& config, const ResourcePoint& at,
       Lookup mode = Lookup::kInterpolate) const;
 
@@ -140,10 +134,9 @@ class PerfDatabase {
 
   // -- fast-path observability (bench/test layer) -----------------------
   struct PredictionStats {
+    // Always 0: predictions are not memoized (kept for existing readers).
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
-    std::size_t cache_evictions = 0;
-    std::size_t cache_invalidations = 0;
     std::size_t index_rebuilds = 0;
   };
   PredictionStats prediction_stats() const;
@@ -173,9 +166,6 @@ class PerfDatabase {
 
   const ConfigData* find(const tunable::ConfigPoint& config) const;
   const GridIndex& indexed(const ConfigData& data) const;
-  std::optional<tunable::QosVector> predict_impl(const ConfigData& data,
-                                                 const ResourcePoint& at,
-                                                 Lookup mode) const;
   tunable::QosVector nearest(const ConfigData& data,
                              const ResourcePoint& at) const;
   std::optional<tunable::QosVector> interpolate(const ConfigData& data,
@@ -187,8 +177,8 @@ class PerfDatabase {
 
   std::vector<std::string> axes_;
   tunable::MetricSchema schema_;
-  /// Shared insert step: returns the touched ConfigData, leaves cache/index
-  /// invalidation to the caller (per-sample vs per-batch).
+  /// Shared insert step: returns the touched ConfigData, leaves the
+  /// mutation epoch bump to the caller (per-sample vs per-batch).
   ConfigData& insert_raw(const tunable::ConfigPoint& config,
                          const ResourcePoint& at,
                          const tunable::QosVector& quality,
@@ -201,7 +191,6 @@ class PerfDatabase {
   std::uint64_t mutation_epoch_ = 0;
   std::size_t total_records_ = 0;
   std::size_t predicted_records_ = 0;
-  mutable PredictionCache cache_;
   // Atomic: the parallel post-passes (prune/sensitivity) trigger lazy index
   // builds for *distinct* configurations from different workers; the
   // shared counter must not race.

@@ -103,7 +103,6 @@ void start_session(FleetState& st, std::size_t idx) {
   adapt::ResourceScheduler::Options sched_options;
   sched_options.lookup = perfdb::Lookup::kInterpolate;
   sched_options.switch_hysteresis = st.opt.switch_hysteresis;
-  sched_options.exact_predictions = st.opt.exact_predictions;
   sched_options.decision_cache = st.opt.decision_cache;
   s.scheduler = std::make_unique<adapt::ResourceScheduler>(
       st.db, st.prefs, std::move(sched_options));

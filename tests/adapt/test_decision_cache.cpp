@@ -70,14 +70,13 @@ ResourceScheduler::Options cached_options(
 ResourceScheduler::Options oracle_options() {
   ResourceScheduler::Options o;
   o.switch_hysteresis = 0.05;
-  o.exact_predictions = true;  // the function the cache claims to memoize
   return o;
 }
 
 // Every cached decision — select and select_with_incumbent, hits and
 // misses alike, across schedulers sharing the cache — must be identical to
-// an uncached exact-prediction oracle, bit for bit (Decision's defaulted
-// operator== compares the predicted QosVector doubles exactly).
+// an oracle scheduler without a decision cache, bit for bit (Decision's
+// defaulted operator== compares the predicted QosVector doubles exactly).
 TEST(DecisionCache, BitExactAgainstUncachedOracle) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
     PerfDatabase db = random_db(seed);
@@ -216,11 +215,15 @@ TEST(DecisionCache, MemoizesEmptyDecisions) {
   EXPECT_EQ(stats.hits, 1u);  // the nullopt itself was memoized
 }
 
-TEST(DecisionCache, AttachingCacheForcesExactPredictions) {
-  PerfDatabase db = random_db(1);
-  auto cache = std::make_shared<DecisionCache>();
-  ResourceScheduler cached(db, prefs(), cached_options(cache));
-  EXPECT_TRUE(cached.options().exact_predictions);
+TEST(DecisionCache, QuantizationBucketsNearbyPoints) {
+  // Points within ~2^-20 relative distance share a hash bucket; clearly
+  // distinct points do not.
+  EXPECT_EQ(DecisionCache::quantize(0.37),
+            DecisionCache::quantize(0.37 * (1.0 + 1e-9)));
+  EXPECT_NE(DecisionCache::quantize(0.37), DecisionCache::quantize(0.38));
+  EXPECT_NE(DecisionCache::quantize(0.37), DecisionCache::quantize(-0.37));
+  EXPECT_NE(DecisionCache::quantize(0.37), DecisionCache::quantize(0.74));
+  EXPECT_EQ(DecisionCache::quantize(0.0), DecisionCache::quantize(0.0));
 }
 
 // Fresh copies of a database get fresh uids: a cache shared across copies

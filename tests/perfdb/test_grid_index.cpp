@@ -1,12 +1,12 @@
 // Tests for the prediction fast path: GridIndex bracketing/corner lookup
-// must be bit-for-bit identical to the reference implementation, and the
-// PredictionCache must memoize, invalidate on mutation, and stay bounded.
+// must be bit-for-bit identical to the reference implementation for every
+// query point, and the lazily rebuilt index must never serve a value from
+// before a mutation.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "perfdb/database.hpp"
-#include "perfdb/prediction_cache.hpp"
 #include "util/rng.hpp"
 
 namespace avf::perfdb {
@@ -61,27 +61,33 @@ TEST(GridIndex, FastPathMatchesReferenceBitForBit) {
   // Acceptance gate: indexed interpolation/nearest must return *identical*
   // QosVectors (exact double equality via QosVector::operator==) to the
   // seed per-call std::set implementation across exact grid points,
-  // interior points, hull-exterior points, and both lookup modes.
+  // interior points, hull-exterior points, and both lookup modes.  Each
+  // random point is followed by a back-to-back query at a point ~1e-9
+  // relative away (the same 2^-20 bucket a quantized memo would share):
+  // that query must get its own exact value, not its neighbor's.
   PerfDatabase db = build_db(8, 6);
   util::SplitMix64 rng(7);
   for (int c = 0; c < 8; ++c) {
     for (int trial = 0; trial < 200; ++trial) {
       double cpu = rng.uniform(-0.2, 1.4);       // extends outside the hull
       double bw = rng.uniform(-50e3, 800e3);
-      ResourcePoint at{cpu, bw};
+      const ResourcePoint at{cpu, bw};
+      const ResourcePoint nudged{cpu * (1.0 + 1e-9), bw * (1.0 - 1e-9)};
       for (Lookup mode : {Lookup::kInterpolate, Lookup::kNearest}) {
-        auto fast = db.predict_uncached(cfg(c), at, mode);
-        auto slow = db.predict_reference(cfg(c), at, mode);
-        ASSERT_EQ(fast.has_value(), slow.has_value());
-        if (fast) {
-          EXPECT_EQ(*fast, *slow) << "mode=" << static_cast<int>(mode);
+        for (const ResourcePoint& p : {at, nudged}) {
+          auto fast = db.predict(cfg(c), p, mode);
+          auto slow = db.predict_reference(cfg(c), p, mode);
+          ASSERT_EQ(fast.has_value(), slow.has_value());
+          if (fast) {
+            EXPECT_EQ(*fast, *slow) << "mode=" << static_cast<int>(mode);
+          }
         }
       }
     }
     // Exact grid points too.
     for (int i = 0; i < 6; ++i) {
       ResourcePoint at{(i + 1.0) / 6, (i + 1.0) * 100e3};
-      EXPECT_EQ(*db.predict_uncached(cfg(c), at), *db.predict_reference(cfg(c), at));
+      EXPECT_EQ(*db.predict(cfg(c), at), *db.predict_reference(cfg(c), at));
     }
   }
 }
@@ -99,7 +105,7 @@ TEST(GridIndex, IncompleteGridMatchesReference) {
   }
   for (int trial = 0; trial < 300; ++trial) {
     ResourcePoint at{rng.uniform(-0.1, 1.2), rng.uniform(-10e3, 250e3)};
-    auto fast = db.predict_uncached(cfg(0), at);
+    auto fast = db.predict(cfg(0), at);
     auto slow = db.predict_reference(cfg(0), at);
     ASSERT_TRUE(fast && slow);
     EXPECT_EQ(*fast, *slow);
@@ -120,7 +126,7 @@ TEST(GridIndex, SparseScatterMatchesReference) {
     ResourcePoint at{rng.next_double(), rng.uniform(1e3, 1e6),
                      rng.uniform(0, 512)};
     for (Lookup mode : {Lookup::kInterpolate, Lookup::kNearest}) {
-      auto fast = db.predict_uncached(cfg(0), at, mode);
+      auto fast = db.predict(cfg(0), at, mode);
       auto slow = db.predict_reference(cfg(0), at, mode);
       ASSERT_TRUE(fast && slow);
       EXPECT_EQ(*fast, *slow);
@@ -133,95 +139,25 @@ TEST(GridIndex, IndexBuiltOncePerConfigUntilMutation) {
   db.reset_prediction_stats();
   for (int trial = 0; trial < 50; ++trial) {
     for (int c = 0; c < 4; ++c) {
-      (void)db.predict_uncached(cfg(c), {0.4, 150e3});
+      (void)db.predict(cfg(c), {0.4, 150e3});
     }
   }
   EXPECT_EQ(db.prediction_stats().index_rebuilds, 4u);  // one per config
 
   // A brand-new sample point invalidates only that config's index.
   db.insert(cfg(1), {0.99, 999e3}, q3(1, 1, 4));
-  for (int c = 0; c < 4; ++c) (void)db.predict_uncached(cfg(c), {0.4, 150e3});
+  for (int c = 0; c < 4; ++c) (void)db.predict(cfg(c), {0.4, 150e3});
   EXPECT_EQ(db.prediction_stats().index_rebuilds, 5u);
 
   // Overwriting an existing point keeps the index but the new value is
   // served (stable node pointers updated in place).
   db.insert(cfg(1), {0.99, 999e3}, q3(77, 1, 4));
-  auto p = db.predict_uncached(cfg(1), {0.99, 999e3});
+  auto p = db.predict(cfg(1), {0.99, 999e3});
   EXPECT_DOUBLE_EQ(p->get("transmit_time"), 77.0);
   EXPECT_EQ(db.prediction_stats().index_rebuilds, 5u);
 }
 
-TEST(PredictionCacheTest, RepeatedQueriesHit) {
-  PerfDatabase db = build_db(4, 4);
-  db.reset_prediction_stats();
-  ResourcePoint at{0.4, 150e3};
-  auto first = db.predict(cfg(0), at);
-  auto second = db.predict(cfg(0), at);
-  EXPECT_EQ(*first, *second);
-  auto stats = db.prediction_stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  // Cached result is bit-for-bit the uncached/reference result for the
-  // repeated point.
-  EXPECT_EQ(*second, *db.predict_reference(cfg(0), at));
-}
-
-TEST(PredictionCacheTest, InsertInvalidatesOnlyThatConfig) {
-  PerfDatabase db = build_db(2, 4);
-  ResourcePoint at{0.4, 150e3};
-  (void)db.predict(cfg(0), at);
-  (void)db.predict(cfg(1), at);
-  db.insert(cfg(0), {0.4, 150e3}, q3(1234.0, 1.0, 4.0));
-  // Config 0 must be recomputed (fresh value), config 1 still hits.
-  db.reset_prediction_stats();
-  auto p0 = db.predict(cfg(0), at);
-  EXPECT_DOUBLE_EQ(p0->get("transmit_time"), 1234.0);
-  auto s1 = db.prediction_stats();
-  EXPECT_EQ(s1.cache_hits, 0u);
-  (void)db.predict(cfg(1), at);
-  EXPECT_EQ(db.prediction_stats().cache_hits, 1u);
-}
-
-TEST(PredictionCacheTest, EraseConfigInvalidates) {
-  PerfDatabase db = build_db(2, 4);
-  ResourcePoint at{0.4, 150e3};
-  ASSERT_TRUE(db.predict(cfg(0), at).has_value());
-  db.erase_config(cfg(0));
-  EXPECT_FALSE(db.predict(cfg(0), at).has_value());
-}
-
-TEST(PredictionCacheTest, ModeIsPartOfTheKey) {
-  PerfDatabase db = build_db(1, 4);
-  ResourcePoint at{0.37, 170e3};
-  auto inter = db.predict(cfg(0), at, Lookup::kInterpolate);
-  auto near = db.predict(cfg(0), at, Lookup::kNearest);
-  EXPECT_EQ(*inter, *db.predict_reference(cfg(0), at, Lookup::kInterpolate));
-  EXPECT_EQ(*near, *db.predict_reference(cfg(0), at, Lookup::kNearest));
-}
-
-TEST(PredictionCacheTest, BoundedSizeEvicts) {
-  PredictionCache cache(8);
-  QosVector v;
-  v.set("m", 1.0);
-  for (int i = 0; i < 100; ++i) {
-    cache.store("cfg", {static_cast<double>(i)}, Lookup::kInterpolate, v);
-    EXPECT_LE(cache.size(), 8u);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(PredictionCacheTest, QuantizationBucketsNearbyPoints) {
-  // Points within ~2^-20 relative distance share a bucket; clearly distinct
-  // points do not.
-  EXPECT_EQ(PredictionCache::quantize(0.37),
-            PredictionCache::quantize(0.37 * (1.0 + 1e-9)));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(0.38));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(-0.37));
-  EXPECT_NE(PredictionCache::quantize(0.37), PredictionCache::quantize(0.74));
-  EXPECT_EQ(PredictionCache::quantize(0.0), PredictionCache::quantize(0.0));
-}
-
-TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
+TEST(GridIndex, LoadedDatabasePredictsThroughIndex) {
   // Round-trip through save/load, then verify the rebuilt database's fast
   // path still matches its own reference path.
   PerfDatabase db = build_db(3, 5);
@@ -232,7 +168,7 @@ TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
   for (int trial = 0; trial < 100; ++trial) {
     ResourcePoint at{rng.next_double(), rng.uniform(50e3, 700e3)};
     for (int c = 0; c < 3; ++c) {
-      auto fast = loaded.predict_uncached(cfg(c), at);
+      auto fast = loaded.predict(cfg(c), at);
       auto slow = loaded.predict_reference(cfg(c), at);
       ASSERT_TRUE(fast && slow);
       EXPECT_EQ(*fast, *slow);
@@ -240,11 +176,11 @@ TEST(PredictionCacheTest, LoadedDatabasePredictsThroughIndex) {
   }
 }
 
-TEST(PredictionCacheTest, NeverServesStaleValuesAcrossRandomMutation) {
-  // Property: under any interleaving of inserts and predictions, the cached
-  // path must agree with an uncached prediction made at the same moment —
-  // i.e. epoch invalidation never lets a pre-insert value survive a
-  // mutation of the config it belongs to.
+TEST(GridIndex, NeverServesStaleValuesAcrossRandomMutation) {
+  // Property: under any interleaving of inserts and predictions, the
+  // indexed path must agree with the reference made at the same moment —
+  // i.e. the lazily rebuilt index never serves a pre-insert value once the
+  // config it belongs to has been mutated.
   PerfDatabase db = build_db(/*configs=*/3, /*grid=*/4);
   util::SplitMix64 rng(7);
   auto random_point = [&] {
@@ -253,27 +189,24 @@ TEST(PredictionCacheTest, NeverServesStaleValuesAcrossRandomMutation) {
   for (int step = 0; step < 500; ++step) {
     const ConfigPoint config = cfg(static_cast<int>(rng.next_below(3)));
     if (rng.next_below(4) == 0) {
-      // Overwrite a grid sample with a fresh value; any cached prediction
-      // bracketing it is now stale.
+      // Overwrite a grid sample with a fresh value; any prediction
+      // bracketing it must now change.
       const double cpu = (static_cast<double>(rng.next_below(4)) + 1.0) / 4.0;
       const double bw = (static_cast<double>(rng.next_below(4)) + 1.0) * 100e3;
       db.insert(config, {cpu, bw},
                 q3(rng.next_double() * 20.0, rng.next_double(), 4.0));
     }
     const ResourcePoint at = random_point();
-    const auto cached = db.predict(config, at);
-    const auto fresh = db.predict_uncached(config, at);
-    ASSERT_EQ(cached.has_value(), fresh.has_value()) << "step " << step;
-    if (cached) {
+    const auto fast = db.predict(config, at);
+    const auto oracle = db.predict_reference(config, at);
+    ASSERT_EQ(fast.has_value(), oracle.has_value()) << "step " << step;
+    if (fast) {
       for (const char* metric :
            {"transmit_time", "response_time", "resolution"}) {
-        ASSERT_EQ(cached->get(metric), fresh->get(metric))
-            << "stale cache value for " << metric << " at step " << step;
+        ASSERT_EQ(fast->get(metric), oracle->get(metric))
+            << "stale value for " << metric << " at step " << step;
       }
     }
-    // Re-query the same point to force the memoized entry into play too.
-    const auto memoized = db.predict(config, at);
-    ASSERT_TRUE(memoized.has_value() == cached.has_value());
   }
 }
 
